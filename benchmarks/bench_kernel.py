@@ -3,7 +3,10 @@
 Three workloads, all deterministic: reduced homology of random complexes,
 upper-Koszul Betti tables of random splittable ideals, and full oracle
 tables for edge ideals of random graphs (the subset-restriction route).
-Caches are cleared between runs so the comparison is honest.
+Caches are cleared between runs so the comparison is honest.  At the
+default scale every checksum must also equal its pinned value, so the run
+checks its answers even when only one backend is built; a disagreement or
+a mismatch exits non-zero.
 
 Run:  python benchmarks/bench_kernel.py [--count N]
 """
@@ -65,6 +68,14 @@ def workload_hochster(scale: int):
     return "subset-restriction tables, random graph edge ideals", run
 
 
+DEFAULT_COUNT = 5
+
+# checksums at DEFAULT_COUNT; the answers are exact, so every backend
+# must reproduce them
+PINNED_SUMS = {workload_homology: 565, workload_koszul: 5236,
+               workload_hochster: 11304}
+
+
 def measure(run) -> tuple[float, int]:
     vertexsplit.clear_caches()
     start = time.perf_counter()
@@ -74,7 +85,7 @@ def measure(run) -> tuple[float, int]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=5,
+    parser.add_argument("--count", type=int, default=DEFAULT_COUNT,
                         help="workload scale factor")
     args = parser.parse_args()
 
@@ -83,7 +94,7 @@ def main() -> None:
     if len(backends) < 2:
         print("compiled kernel not built; benchmarking the pure backend only")
 
-    for factory in (workload_homology, workload_koszul, workload_hochster):
+    for factory, pinned in PINNED_SUMS.items():
         label, run = factory(args.count)
         print(f"\n{label}")
         times = {}
@@ -94,6 +105,9 @@ def main() -> None:
             print(f"  {name:>7}: {times[name]:8.3f}s  (checksum {sums[name]})")
         if len(set(sums.values())) > 1:
             raise SystemExit("BACKEND DISAGREEMENT: " + repr(sums))
+        if args.count == DEFAULT_COUNT and sums[name] != pinned:
+            raise SystemExit(f"CHECKSUM MISMATCH: {label}: got {sums[name]}, "
+                             f"pinned {pinned}")
         if "c" in times and "python" in times and times["c"] > 0:
             print(f"  speedup: {times['python'] / times['c']:.1f}x")
     kernel.set_backend(backends[-1] if "c" not in backends else "c")

@@ -3,7 +3,9 @@
 """Compiled kernel: exact matrix ranks, reduced simplicial homology and
 upper-Koszul Betti tables.
 
-Twin of `_kernel_py` with the hot loops in C++.  Integer elimination works
+Twin of `_kernel_py` with the hot loops in C++; it reduces each complex to
+its strong-collapse core with the same helper, so both backends send the
+same complexes to their rank code.  Integer elimination works
 in 64-bit arithmetic behind a magnitude guard; if an intermediate value
 could overflow, OverflowError is raised and the dispatcher in `kernel`
 reruns the call on the arbitrary-precision Python backend.
@@ -12,6 +14,8 @@ reruns the call on the arbitrary-precision Python backend.
 from libcpp.vector cimport vector
 from libcpp.set cimport set as cpp_set
 from libcpp.unordered_set cimport unordered_set
+
+from vertexsplit._kernel_py import strong_collapse_core
 
 ctypedef long long i64
 ctypedef unsigned long long u64
@@ -236,8 +240,9 @@ cdef tuple _homology_raw(vector[u64]& facets, i64 p):
     return tuple(dims)
 
 
-cdef tuple _homology_cached(vector[u64]& facets, i64 p):
-    """Cache layer keyed on the support-compressed facet masks."""
+cdef tuple _cache_key(vector[u64]& facets, i64 p, vector[u64]& packed):
+    """Key of the support-compressed facet masks; fills `packed` with them,
+    sorted."""
     cdef u64 support = 0, f, mask
     cdef size_t k
     cdef int v, slot
@@ -251,7 +256,6 @@ cdef tuple _homology_cached(vector[u64]& facets, i64 p):
             slot += 1
         else:
             place[v] = -1
-    cdef vector[u64] packed
     for k in range(facets.size()):
         f = facets[k]
         mask = 0
@@ -267,12 +271,38 @@ cdef tuple _homology_cached(vector[u64]& facets, i64 p):
     for k in range(packed.size()):
         if k == 0 or packed[k] != packed[k - 1]:
             key_items.append(packed[k])
-    key = (tuple(key_items), p)
+    return (tuple(key_items), p)
+
+
+cdef tuple _homology_cached(vector[u64]& facets, i64 p):
+    """Cache layer; a miss reduces the complex to its strong-collapse core
+    with the shared `_kernel_py` helper before any matrix is built."""
+    cdef vector[u64] packed, core, core_packed
+    cdef size_t k
+    cdef int top = 0, t
+    key = _cache_key(facets, p, packed)
     dims = _hom_cache.get(key)
     if dims is None:
         if len(_hom_cache) > _CACHE_LIMIT:
             _hom_cache.clear()
-        dims = _homology_raw(packed, p)
+        masks = []
+        for k in range(packed.size()):
+            masks.append(packed[k])
+            t = __builtin_popcountll(packed[k])
+            if t > top:
+                top = t
+        core_masks = strong_collapse_core(masks)
+        if len(core_masks) == 1 and core_masks[0]:
+            dims = (0,) * (top + 1)
+        else:
+            for mask in core_masks:
+                core.push_back(<u64>mask)
+            core_key = _cache_key(core, p, core_packed)
+            core_dims = _hom_cache.get(core_key)
+            if core_dims is None:
+                core_dims = _homology_raw(core_packed, p)
+                _hom_cache[core_key] = core_dims
+            dims = core_dims + (0,) * (top + 1 - len(core_dims))
         _hom_cache[key] = dims
     return dims
 

@@ -6,6 +6,19 @@ This is the fallback twin of the compiled kernel in `_kernel_c`; both
 expose the same four entry points and must produce identical results.
 Matrix work is fraction-free over the integers (characteristic zero) or
 modular (prime fields), so every rank is exact.
+
+Before any matrix is built, `homology_dims` shrinks a complex to its
+strong-collapse core (Barmak-Minian, "Strong homotopy types, nerves and
+collapses", 2012).  A vertex v is dominated when some other vertex w lies
+in every facet that contains v.  Then the link of v is a cone with apex
+w, the complex with v deleted is a strong deformation retract of the
+whole, and reduced homology over any field is unchanged.  Dominated
+vertices are deleted one at a time until none is left, because two
+vertices can dominate each other.  A core that is a single non-empty
+facet is a point and has zero reduced homology; any other core is passed
+to the rank code, and its result is padded with zeros to the length the
+input would have had.  The reduction runs only on a cache miss, and the
+core's result is cached under its own key as well.
 """
 
 from __future__ import annotations
@@ -120,6 +133,50 @@ def _rank(rows, p: int) -> int:
     return rank_int(rows) if p == 0 else rank_mod(rows, p)
 
 
+def _maximal(facets) -> list[int]:
+    """The inclusion-maximal masks among `facets`, without repeats."""
+    out: list[int] = []
+    for f in sorted(set(facets), key=int.bit_count, reverse=True):
+        if not any(f & g == f for g in out):
+            out.append(f)
+    return out
+
+
+def strong_collapse_core(facets) -> list[int]:
+    """Sorted facets of a strong-collapse core of the complex the masks
+    generate.
+
+    Deletes one dominated vertex at a time until no vertex is dominated.
+    The core has the homotopy type of the input, so the same reduced
+    homology; it is never empty, and it is a single facet exactly when
+    the input strong-collapses to a point (a cone, for instance).
+    """
+    core = _maximal(facets)
+    changed = True
+    while changed:
+        changed = False
+        support = 0
+        for f in core:
+            support |= f
+        while support:
+            v = support & -support
+            support ^= v
+            common = ~0
+            for f in core:
+                if f & v:
+                    common &= f
+            if common != v:
+                # facets that miss v stay maximal, and facets through v
+                # stay incomparable without it: a shrunken facet can only
+                # fall inside a facet that missed v
+                kept = [f for f in core if not f & v]
+                shrunk = [f ^ v for f in core if f & v]
+                core = kept + [g for g in shrunk
+                               if not any(g & h == g for h in kept)]
+                changed = True
+    return sorted(core)
+
+
 def _homology_from_masks(facets: list[int], p: int) -> tuple[int, ...]:
     """Reduced homology dimensions; entry t is dim of degree t-1 homology."""
     faces = set()
@@ -171,7 +228,17 @@ def homology_dims(facets, p: int) -> tuple[int, ...]:
     if hit is None:
         if len(_hom_cache) > _CACHE_LIMIT:
             _hom_cache.clear()
-        hit = _homology_from_masks(facets, p)
+        top = max(f.bit_count() for f in facets)
+        core = strong_collapse_core(facets)
+        if len(core) == 1 and core[0]:
+            hit = (0,) * (top + 1)
+        else:
+            core_key = _canonical_key(core, p)
+            dims = _hom_cache.get(core_key)
+            if dims is None:
+                dims = _homology_from_masks(core, p)
+                _hom_cache[core_key] = dims
+            hit = dims + (0,) * (top + 1 - len(dims))
         _hom_cache[key] = hit
     return hit
 

@@ -3,7 +3,8 @@
 Subcommands: `betti` (tables by oracle, split recursion or set formula),
 `classify` (predicates plus certificates), `verify` (theorem-check suites)
 and `gen` (seeded corpus files).  Exit codes: 0 success, 1 property
-violation or counterexample, 2 usage or parse error.
+violation or counterexample, 2 usage or parse error, or an input too large
+to process (out of memory or recursion depth).
 """
 
 from __future__ import annotations
@@ -308,6 +309,10 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: the input is too large to process "
+              f"({type(exc).__name__})", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from vertexsplit import cli
 from vertexsplit.cli import main
 
 P3_IDEAL = "kind: ideal\nvars: x y z\nx*y\ny*z\n"
@@ -63,6 +64,17 @@ def test_betti_usage_errors(files, capsys):
     assert main(["betti"]) == 2
     assert main(["betti", "--graph", files["p4.g"], "--ideal", "nonsense"]) == 2
     assert main(["betti", "--ideal", "/nonexistent/file"]) == 2
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_resource_exhaustion_is_a_usage_error(files, monkeypatch, capsys, exc):
+    def exhausted(args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "_load_ideal_for_betti", exhausted)
+    assert main(["betti", "--graph", files["p4.g"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_classify_ideal(files, tmp_path, capsys):

@@ -1,6 +1,7 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fraction_rank
 from vertexsplit import kernel
@@ -95,3 +96,80 @@ def test_kernel_caches_clear():
     assert _kernel_py._hom_cache
     kernel.clear_caches()
     assert not _kernel_py._hom_cache
+
+
+# the six-vertex real projective plane: no vertex is dominated, and its
+# homology has two-torsion
+RP2_MASKS = [sum(1 << v for v in f) for f in (
+    (0, 1, 3), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 4, 5), (1, 2, 4),
+    (1, 2, 5), (1, 3, 4), (2, 3, 5), (3, 4, 5))]
+
+facet_sets = st.lists(st.integers(0, (1 << 8) - 1), min_size=1, max_size=8)
+
+
+def dominated_vertices(facets):
+    support = 0
+    for f in facets:
+        support |= f
+    out = []
+    for v in range(support.bit_length()):
+        bit = 1 << v
+        if support & bit:
+            common = ~0
+            for f in facets:
+                if f & bit:
+                    common &= f
+            if common != bit:
+                out.append(v)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_sets, st.sampled_from([0, 2, 3]))
+def test_reduced_homology_equals_unreduced(facets, p):
+    _kernel_py.clear_caches()
+    assert (_kernel_py.homology_dims(facets, p)
+            == _kernel_py._homology_from_masks(facets, p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_sets)
+def test_core_has_no_dominated_vertex(facets):
+    core = _kernel_py.strong_collapse_core(facets)
+    assert core
+    assert not any(f != g and f & g == f for f in core for g in core)
+    assert dominated_vertices(core) == []
+
+
+def test_cone_gives_zeros_of_input_length():
+    cone = [0b00111, 0b01101, 0b11001]
+    assert _kernel_py.strong_collapse_core(cone) in ([1], [2], [4], [8], [16])
+    assert _kernel_py.homology_dims(cone, 0) == (0, 0, 0, 0)
+
+
+def test_mutually_dominating_vertices_leave_a_point():
+    # each end of an edge dominates the other; deleting both would leave
+    # the void complex
+    assert len(_kernel_py.strong_collapse_core([0b11])) == 1
+    assert _kernel_py.homology_dims([0b11], 0) == (0, 0, 0)
+
+
+def test_irrelevant_complex_keeps_degree_minus_one():
+    assert _kernel_py.strong_collapse_core([0]) == [0]
+    assert _kernel_py.homology_dims([0], 0) == (1,)
+
+
+def test_projective_plane_is_its_own_core():
+    assert _kernel_py.strong_collapse_core(RP2_MASKS) == sorted(RP2_MASKS)
+    _kernel_py.clear_caches()
+    assert _kernel_py.homology_dims(RP2_MASKS, 2) == (0, 0, 1, 1)
+    assert _kernel_py.homology_dims(RP2_MASKS, 0) == (0, 0, 0, 0)
+
+
+def test_core_result_is_padded_to_input_length():
+    # a hollow triangle with a solid 4-simplex hanging off one vertex
+    # collapses to the hollow triangle: the tuple keeps the input's length
+    facets = [0b0000011, 0b0000110, 0b0000101, 0b1111000 | 0b0000001]
+    _kernel_py.clear_caches()
+    assert _kernel_py.homology_dims(facets, 0) == (0, 0, 1, 0, 0, 0)
+    assert _kernel_py.homology_dims([0b011, 0b110, 0b101], 0) == (0, 0, 1)
