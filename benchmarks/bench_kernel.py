@@ -1,12 +1,10 @@
-"""Benchmark the compiled kernel against the pure Python twin.
+"""Time the kernel on three workloads and check their answers.
 
 Three workloads, all deterministic: reduced homology of random complexes,
 upper-Koszul Betti tables of random splittable ideals, and full oracle
 tables for edge ideals of random graphs (the subset-restriction route).
-Caches are cleared between runs so the comparison is honest.  At the
-default scale every checksum must also equal its pinned value, so the run
-checks its answers even when only one backend is built; a disagreement or
-a mismatch exits non-zero.
+Caches are cleared before each run.  At the default scale every checksum
+must equal its pinned value; a mismatch exits non-zero.
 
 Run:  python benchmarks/bench_kernel.py [--count N]
 """
@@ -70,8 +68,7 @@ def workload_hochster(scale: int):
 
 DEFAULT_COUNT = 5
 
-# checksums at DEFAULT_COUNT; the answers are exact, so every backend
-# must reproduce them
+# checksums at DEFAULT_COUNT; the answers are exact
 PINNED_SUMS = {workload_homology: 565, workload_koszul: 5236,
                workload_hochster: 11304}
 
@@ -89,28 +86,13 @@ def main() -> None:
                         help="workload scale factor")
     args = parser.parse_args()
 
-    backends = kernel.available_backends()
-    print(f"available backends: {', '.join(backends)}")
-    if len(backends) < 2:
-        print("compiled kernel not built; benchmarking the pure backend only")
-
     for factory, pinned in PINNED_SUMS.items():
         label, run = factory(args.count)
-        print(f"\n{label}")
-        times = {}
-        sums = {}
-        for name in backends:
-            kernel.set_backend(name)
-            times[name], sums[name] = measure(run)
-            print(f"  {name:>7}: {times[name]:8.3f}s  (checksum {sums[name]})")
-        if len(set(sums.values())) > 1:
-            raise SystemExit("BACKEND DISAGREEMENT: " + repr(sums))
-        if args.count == DEFAULT_COUNT and sums[name] != pinned:
-            raise SystemExit(f"CHECKSUM MISMATCH: {label}: got {sums[name]}, "
+        seconds, checksum = measure(run)
+        print(f"{seconds:8.3f}s  checksum {checksum:>6}  {label}")
+        if args.count == DEFAULT_COUNT and checksum != pinned:
+            raise SystemExit(f"CHECKSUM MISMATCH: {label}: got {checksum}, "
                              f"pinned {pinned}")
-        if "c" in times and "python" in times and times["c"] > 0:
-            print(f"  speedup: {times['python'] / times['c']:.1f}x")
-    kernel.set_backend(backends[-1] if "c" not in backends else "c")
 
 
 if __name__ == "__main__":

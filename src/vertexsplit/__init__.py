@@ -4,9 +4,8 @@ complexes, with exact graded Betti numbers.
 The package recognizes both structures with replayable certificates,
 computes Betti tables three ways (a homological oracle, the split
 recursion and the linear-quotient set formula) and exposes theorem-check
-suites that compare them on enumerated and sampled corpora.  A compiled
-kernel accelerates the homological oracle when available; see
-`vertexsplit.kernel` for backend selection.
+suites that compare them on enumerated and sampled corpora.  The exact
+ranks and homology behind the oracle live in `vertexsplit.kernel`.
 """
 
 from . import decomposition, graphs, homology, kernel, splitting

@@ -1,11 +1,10 @@
-"""Pure Python kernel: exact matrix ranks, reduced simplicial homology and
-the fine-graded Betti table of a monomial ideal from its upper Koszul
+"""The kernel: exact matrix ranks, reduced simplicial homology and the
+fine-graded Betti table of a monomial ideal from its upper Koszul
 complexes.
 
-This is the fallback twin of the compiled kernel in `_kernel_c`; both
-expose the same four entry points and must produce identical results.
-Matrix work is fraction-free over the integers (characteristic zero) or
-modular (prime fields), so every rank is exact.
+`vertexsplit.kernel` re-exports the entry points defined here.  Matrix
+work is fraction-free over the integers (characteristic zero) or modular
+(prime fields), so every rank is exact.
 
 Before any matrix is built, `homology_dims` shrinks a complex to its
 strong-collapse core (Barmak-Minian, "Strong homotopy types, nerves and
@@ -23,7 +22,7 @@ core's result is cached under its own key as well.
 
 from __future__ import annotations
 
-BACKEND_NAME = "python"
+from .complexes import _max_antichain
 
 _hom_cache: dict[tuple, tuple[int, ...]] = {}
 _CACHE_LIMIT = 1 << 21
@@ -101,45 +100,31 @@ def rank_mod(rows, p: int) -> int:
 
 
 def _canonical_key(facets, p: int) -> tuple:
-    """Cache key: facet masks with the vertex support compressed."""
+    """Cache key: facet masks with the vertex support compressed, so the
+    k-th lowest vertex of the support becomes vertex k."""
     support = 0
     for f in facets:
         support |= f
     place = {}
-    k = 0
-    v = 0
-    s = support
-    while s:
-        if s & 1:
-            place[v] = k
-            k += 1
-        s >>= 1
-        v += 1
-    remapped = []
+    target = 1
+    while support:
+        low = support & -support
+        place[low] = target
+        target <<= 1
+        support ^= low
+    remapped = set()
     for f in facets:
         mask = 0
-        v = 0
         while f:
-            if f & 1:
-                mask |= 1 << place[v]
-            f >>= 1
-            v += 1
-        remapped.append(mask)
-    return (bytes(), p) if not remapped else (
-        b"".join(m.to_bytes(8, "little") for m in sorted(set(remapped))), p)
+            low = f & -f
+            mask |= place[low]
+            f ^= low
+        remapped.add(mask)
+    return (b"".join(m.to_bytes(8, "little") for m in sorted(remapped)), p)
 
 
 def _rank(rows, p: int) -> int:
     return rank_int(rows) if p == 0 else rank_mod(rows, p)
-
-
-def _maximal(facets) -> list[int]:
-    """The inclusion-maximal masks among `facets`, without repeats."""
-    out: list[int] = []
-    for f in sorted(set(facets), key=int.bit_count, reverse=True):
-        if not any(f & g == f for g in out):
-            out.append(f)
-    return out
 
 
 def strong_collapse_core(facets) -> list[int]:
@@ -151,7 +136,7 @@ def strong_collapse_core(facets) -> list[int]:
     homology; it is never empty, and it is a single facet exactly when
     the input strong-collapses to a point (a cone, for instance).
     """
-    core = _maximal(facets)
+    core = list(_max_antichain(facets))
     changed = True
     while changed:
         changed = False

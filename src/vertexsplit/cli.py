@@ -14,7 +14,7 @@ import os
 import sys
 from random import Random
 
-from . import kernel, verify
+from . import verify
 from .betti import format_flat, format_grid
 from .complexes import is_pure, stanley_reisner_ideal
 from .corpus import random_complex, random_graph, random_splittable_ideal
@@ -251,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vertexsplit",
         description="vertex splittable ideals, vertex decomposable complexes "
                     "and exact graded Betti numbers")
-    parser.add_argument("--backend", choices=kernel.available_backends(),
-                        help="force the computational kernel backend")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_betti = sub.add_parser("betti", help="print a graded Betti table")
@@ -300,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.backend:
-        kernel.set_backend(args.backend)
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

@@ -1,91 +1,19 @@
-"""Backend selection for the computational kernel.
+"""The computational kernel: exact ranks, reduced homology and Koszul
+Betti tables.
 
-The compiled kernel (`_kernel_c`, Cython) is preferred when it imported
-successfully; the pure Python twin (`_kernel_py`) is always available.
-Selection happens at import time and can be forced with the environment
-variable ``VERTEXSPLIT_BACKEND=c|python`` or at runtime via
-:func:`set_backend`.  The compiled kernel works in guarded 64-bit
-arithmetic; on the rare OverflowError the dispatcher transparently reruns
-the call on the arbitrary-precision Python backend.
+The implementation lives in `_kernel_py`; this module re-exports its
+entry points, so `kernel.homology_dims is _kernel_py.homology_dims`.
 """
 
 from __future__ import annotations
 
-import os
+from ._kernel_py import (clear_caches, homology_dims, koszul_table,
+                         rank_int, rank_mod)
 
-from . import _kernel_py
-
-try:
-    from . import _kernel_c
-except ImportError:  # extension not built; pure Python fallback
-    _kernel_c = None
-
-_BACKENDS = {"python": _kernel_py}
-if _kernel_c is not None:
-    _BACKENDS["c"] = _kernel_c
-
-
-def _initial_backend():
-    forced = os.environ.get("VERTEXSPLIT_BACKEND")
-    if forced:
-        if forced not in _BACKENDS:
-            raise ImportError(
-                f"VERTEXSPLIT_BACKEND={forced!r} is not available; "
-                f"choose from {sorted(_BACKENDS)}")
-        return _BACKENDS[forced]
-    return _BACKENDS.get("c", _kernel_py)
-
-
-_active = _initial_backend()
-
-
-def available_backends() -> list[str]:
-    return sorted(_BACKENDS)
+__all__ = ["active_backend", "clear_caches", "homology_dims",
+           "koszul_table", "rank_int", "rank_mod"]
 
 
 def active_backend() -> str:
-    return _active.BACKEND_NAME
-
-
-def set_backend(name: str) -> None:
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; available: {sorted(_BACKENDS)}")
-    _active = _BACKENDS[name]
-
-
-def clear_caches() -> None:
-    for backend in _BACKENDS.values():
-        backend.clear_caches()
-
-
-def rank_int(rows) -> int:
-    """Exact rank over the rationals (fraction-free integer elimination)."""
-    try:
-        return _active.rank_int(rows)
-    except OverflowError:
-        return _kernel_py.rank_int(rows)
-
-
-def rank_mod(rows, p: int) -> int:
-    """Exact rank over GF(p)."""
-    try:
-        return _active.rank_mod(rows, p)
-    except OverflowError:
-        return _kernel_py.rank_mod(rows, p)
-
-
-def homology_dims(facet_masks, p: int) -> tuple[int, ...]:
-    """Reduced homology dimensions; entry t is the dimension in degree t-1."""
-    try:
-        return _active.homology_dims(facet_masks, p)
-    except OverflowError:
-        return _kernel_py.homology_dims(facet_masks, p)
-
-
-def koszul_table(exponents, p: int) -> dict[tuple[int, int], int]:
-    """Graded Betti numbers of a minimally generated monomial ideal."""
-    try:
-        return _active.koszul_table(exponents, p)
-    except OverflowError:
-        return _kernel_py.koszul_table(exponents, p)
+    """Name of the kernel implementation, recorded with benchmark runs."""
+    return "python"

@@ -15,7 +15,7 @@ from typing import Iterable
 Monomial = tuple[int, ...]
 
 # exponents above this are rejected; the algorithms here only ever meet
-# small exponents and the compiled kernel works in 64-bit integers
+# small exponents
 MAX_EXPONENT = 2**20
 
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-import pytest
-
 from vertexsplit.monomials import MonomialIdeal, minimalize
 
 
@@ -124,13 +122,3 @@ def tor_betti(I: MonomialIdeal) -> dict[tuple[int, int], int]:
                 quotient[(i, j)] = h
     return {(i - 1, j): r for (i, j), r in quotient.items() if i >= 1}
 
-
-@pytest.fixture(params=["python", "c"])
-def backend(request):
-    from vertexsplit import kernel
-    if request.param not in kernel.available_backends():
-        pytest.skip(f"backend {request.param} not built")
-    previous = kernel.active_backend()
-    kernel.set_backend(request.param)
-    yield request.param
-    kernel.set_backend(previous)
