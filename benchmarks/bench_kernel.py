@@ -12,8 +12,15 @@ Run:  python benchmarks/bench_kernel.py [--count N]
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 from random import Random
+
+# import vertexsplit from this checkout's src, installed or not
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
 
 import vertexsplit
 from vertexsplit import kernel

@@ -81,7 +81,8 @@ class SimplicialComplex:
         return any(mask & f == mask for f in self.facets)
 
     def is_vertex(self, v: int) -> bool:
-        return bool(self.vertex_mask >> v & 1)
+        """True iff v is a vertex: in 0..ground_size-1 and in some facet."""
+        return 0 <= v < self.ground_size and bool(self.vertex_mask >> v & 1)
 
     def __repr__(self) -> str:
         facets = ", ".join("{" + ",".join(map(str, sorted(s))) + "}"

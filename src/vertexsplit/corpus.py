@@ -14,8 +14,8 @@ from .complexes import SimplicialComplex, empty_complex, from_facet_masks
 from .graphs import Graph
 from .monomials import (Monomial, MonomialIdeal, colon, intersect,
                         mono_from_mask, mono_mul)
-from .splitting import (SplitLeaf, SplitNode, SplitTree, _rebuild,
-                        validate_split_tree)
+from .splitting import (InvalidSplitTree, SplitLeaf, SplitNode, SplitTree,
+                        _rebuild)
 
 
 def _antichain_families(n: int) -> Iterator[tuple[int, ...]]:
@@ -106,7 +106,7 @@ def _sample_contained(variables: tuple[int, ...], target: MonomialIdeal,
         colon(target, tuple(1 if k == y else 0
                             for k in range(target.num_vars))), y)
     left = _sample_contained(rest, quotient, rng, depth - 1)
-    left_gens = _rebuild(left, target.num_vars)
+    left_gens = frozenset(_rebuild(left, target.num_vars)[0])
     if not left_gens:
         return SplitLeaf(None)
     left_ideal = MonomialIdeal(target.num_vars, left_gens)
@@ -123,7 +123,7 @@ def _sample_split(variables: tuple[int, ...], n: int, rng: Random,
     x = rng.choice(variables)
     rest = tuple(v for v in variables if v != x)
     left = _sample_split(rest, n, rng, depth - 1)
-    left_ideal = MonomialIdeal(n, _rebuild(left, n))
+    left_ideal = MonomialIdeal(n, frozenset(_rebuild(left, n)[0]))
     right = _sample_contained(rest, left_ideal, rng, depth - 1)
     return SplitNode(x, left, right)
 
@@ -141,12 +141,9 @@ def random_splittable_ideal(
     for _ in range(max_tries):
         try:
             tree = _sample_split(variables, n, rng, depth=n)
-            gens = _rebuild(tree, n)
-        except ValueError:
+            gens = frozenset(_rebuild(tree, n)[0])
+        except InvalidSplitTree:
             continue
-        if not gens or len(gens) > max_gens:
-            continue
-        ideal = MonomialIdeal(n, gens)
-        if validate_split_tree(tree, ideal):
-            return ideal, tree
+        if gens and len(gens) <= max_gens:
+            return MonomialIdeal(n, gens), tree
     raise RuntimeError("random splittable sampling failed to converge")

@@ -18,8 +18,8 @@ from .betti import BettiTable, add_shifted, make_table
 from .homology import FieldChoice, QQ, betti_table
 from .monomials import (Monomial, MonomialIdeal, colon, degree, divides,
                         intersect, is_subideal, minimalize, mono_gcd,
-                        mono_div, multiply, variable, variable_ideal,
-                        x_partition)
+                        mono_div, mono_mul, multiply, variable,
+                        variable_ideal, x_partition)
 
 
 @dataclass(frozen=True)
@@ -88,50 +88,61 @@ class InvalidSplitTree(ValueError):
     pass
 
 
-def _rebuild(tree: SplitTree, n: int) -> frozenset[Monomial]:
-    """Generators encoded by a tree, checking the split conditions."""
+def _rebuild(tree: SplitTree, n: int, nodes: Optional[list] = None
+             ) -> tuple[tuple[Monomial, ...], tuple[frozenset[int], ...]]:
+    """Replay a certificate bottom-up, checking the split conditions once at
+    each node.  Returns the generators in quotient order and their variable
+    sets; when nodes is a list, appends (node, ideal at the node) for every
+    inner node, root first."""
     if isinstance(tree, SplitLeaf):
         if tree.monomial is None:
-            return frozenset()
+            return (), ()
         if len(tree.monomial) != n:
             raise InvalidSplitTree("leaf monomial has the wrong arity")
-        return frozenset({tree.monomial})
+        return (tree.monomial,), (frozenset(),)
     x = tree.var
     if not 0 <= x < n:
         raise InvalidSplitTree(f"split variable {x} out of range")
-    left = _rebuild(tree.left, n)
-    right = _rebuild(tree.right, n)
+    if nodes is not None:
+        slot = len(nodes)
+        nodes.append(None)
+    left, left_sets = _rebuild(tree.left, n, nodes)
+    right, right_sets = _rebuild(tree.right, n, nodes)
     if any(g[x] for g in left) or any(g[x] for g in right):
         raise InvalidSplitTree("split parts must avoid the split variable")
-    if not is_subideal(MonomialIdeal(n, right), MonomialIdeal(n, left)):
+    factor, summand = frozenset(left), frozenset(right)
+    if not is_subideal(MonomialIdeal(n, summand), MonomialIdeal(n, factor)):
         raise InvalidSplitTree("summand ideal not contained in factor ideal")
+    # Both parts are antichains avoiding x, and I2 lies in I1.  So x*l never
+    # divides a generator r of I2, and r | x*l forces r | l; as some l' of
+    # I1 divides r, l' | l gives l' = l = r.  Hence x*I1 + I2 is minimal
+    # exactly when the parts share no generator.
+    if factor & summand:
+        raise InvalidSplitTree("rebuilt generators are not minimal")
     xvar = variable(n, x)
-    gens = frozenset(tuple(e + v for e, v in zip(g, xvar)) for g in left) | right
-    if len(gens) != len(left) + len(right):
-        raise InvalidSplitTree("generator multisets collide")
-    for g in gens:
-        for h in gens:
-            if g != h and divides(g, h):
-                raise InvalidSplitTree("rebuilt generators are not minimal")
-    return gens
+    gens = tuple(mono_mul(g, xvar) for g in left) + right
+    if nodes is not None:
+        nodes[slot] = (tree, MonomialIdeal(n, frozenset(gens)))
+    return gens, left_sets + tuple(s | {x} for s in right_sets)
 
 
 def validate_split_tree(tree: SplitTree, I: MonomialIdeal) -> bool:
     """Replay a certificate and check it reproduces the generators of I."""
     try:
-        return _rebuild(tree, I.num_vars) == I.gens
+        return frozenset(_rebuild(tree, I.num_vars)[0]) == I.gens
     except InvalidSplitTree:
         return False
 
 
-def split_nodes(tree: SplitTree, n: int):
-    """Yield (node, ideal at the node) for every inner node of the tree."""
-    if isinstance(tree, SplitLeaf):
-        return
-    gens = _rebuild(tree, n)
-    yield tree, MonomialIdeal(n, gens)
-    yield from split_nodes(tree.left, n)
-    yield from split_nodes(tree.right, n)
+def split_nodes(tree: SplitTree,
+                n: int) -> list[tuple[SplitNode, MonomialIdeal]]:
+    """(node, ideal at the node) for every inner node of the tree, from one
+    validated replay.  The order is root first: each node comes before the
+    nodes of its left subtree, and those before the nodes of its right
+    subtree.  Raises InvalidSplitTree if the tree is not a certificate."""
+    nodes: list[tuple[SplitNode, MonomialIdeal]] = []
+    _rebuild(tree, n, nodes)
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -154,21 +165,11 @@ def quotient_order_from_split(tree: SplitTree, n: int) -> LinearQuotientOrder:
     """Linear-quotient order induced by a split certificate.
 
     The factor part goes first: x*f_1 < ... < x*f_r < g_1 < ... < g_s,
-    where set(x*f_t) is inherited from I1 and set(g_k) picks up x.
+    where set(x*f_t) is inherited from I1 and set(g_k) picks up x.  The
+    certificate is validated on the way; a tree that is not one raises
+    InvalidSplitTree.
     """
-    if isinstance(tree, SplitLeaf):
-        if tree.monomial is None:
-            return LinearQuotientOrder((), ())
-        if len(tree.monomial) != n:
-            raise InvalidSplitTree("leaf monomial has the wrong arity")
-        return LinearQuotientOrder((tree.monomial,), (frozenset(),))
-    left = quotient_order_from_split(tree.left, n)
-    right = quotient_order_from_split(tree.right, n)
-    xvar = variable(n, tree.var)
-    gens = tuple(tuple(e + v for e, v in zip(g, xvar))
-                 for g in left.generators) + right.generators
-    sets = left.sets + tuple(s | {tree.var} for s in right.sets)
-    return LinearQuotientOrder(gens, sets)
+    return LinearQuotientOrder(*_rebuild(tree, n))
 
 
 def verify_linear_quotient_order(order: LinearQuotientOrder, n: int) -> bool:
@@ -293,6 +294,6 @@ def verify_betti_splitting(I: MonomialIdeal, J: MonomialIdeal,
 
 def node_parts(node: SplitNode, n: int) -> tuple[MonomialIdeal, MonomialIdeal]:
     """The pair (x*I1, I2) encoded at a split node."""
-    left = MonomialIdeal(n, _rebuild(node.left, n))
-    right = MonomialIdeal(n, _rebuild(node.right, n))
+    left = MonomialIdeal(n, frozenset(_rebuild(node.left, n)[0]))
+    right = MonomialIdeal(n, frozenset(_rebuild(node.right, n)[0]))
     return multiply(left, variable(n, node.var)), right

@@ -25,8 +25,9 @@ from .graphs import (Graph, ScmNode, chordal_split, complement,
 from .homology import (FieldChoice, QQ, betti_table, has_linear_resolution,
                        koszul_betti)
 from .monomials import (MonomialIdeal, alexander_dual_ideal, degree,
-                        intersect, mono_from_mask, multiply, variable)
-from .splitting import (betti_from_sets, betti_recursive, node_parts,
+                        intersect, mono_from_mask, multiply, variable,
+                        x_partition)
+from .splitting import (betti_from_sets, betti_recursive,
                         quotient_order_from_split, split_nodes,
                         validate_split_tree, verify_betti_splitting,
                         verify_linear_quotient_order, vertex_split)
@@ -140,7 +141,8 @@ def suite_betti_splitting(max_n=None, seed=0, count=None, field=QQ) -> SuiteResu
             _splittable_corpus(count, max_n, 12, seed)):
         result.checked += 1
         for node, node_ideal in split_nodes(tree, ideal.num_vars):
-            part_j, part_k = node_parts(node, ideal.num_vars)
+            # I2 avoids x, so the generators with x are exactly x*I1
+            part_j, part_k = x_partition(node_ideal, node.var)
             nodes_checked += 1
             if not verify_betti_splitting(node_ideal, part_j, part_k, field):
                 result.fail(f"splitting identity fails at {node_ideal!r}")

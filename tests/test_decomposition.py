@@ -61,6 +61,14 @@ def test_certificate_replay_rejects_wrong_complex():
     assert not validate_decomposition_tree(tree, simplex(3))
 
 
+def test_certificate_replay_rejects_out_of_range_vertex():
+    leaf = SimplexLeaf(0b101, 3)
+    for v in (-1, 3):
+        assert not XZ_Y.is_vertex(v)
+        assert not validate_decomposition_tree(
+            DecompositionNode(v, leaf, leaf), XZ_Y)
+
+
 def test_pd_reg_examples():
     assert pd_reg_recursive(XZ_Y) == (2, 1)
     assert oracle_pd_reg(XZ_Y) == (2, 1)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -150,3 +154,15 @@ def test_core_result_is_padded_to_input_length():
     _kernel_py.clear_caches()
     assert _kernel_py.homology_dims(facets, 0) == (0, 0, 1, 0, 0, 0)
     assert _kernel_py.homology_dims([0b011, 0b110, 0b101], 0) == (0, 0, 1)
+
+
+def test_bench_kernel_runs_from_a_checkout(tmp_path):
+    # no PYTHONPATH and a foreign working directory: the script finds the
+    # checkout's src on its own
+    script = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernel.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(script), "--count", "1"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 3

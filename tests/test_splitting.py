@@ -1,3 +1,4 @@
+from collections import Counter
 from random import Random
 
 import pytest
@@ -5,11 +6,13 @@ import pytest
 from conftest import mi, sq, tor_betti
 from vertexsplit.corpus import random_splittable_ideal
 from vertexsplit.homology import betti_table, koszul_betti
-from vertexsplit.monomials import (intersect, minimalize, multiply,
+from vertexsplit.monomials import (MonomialIdeal, divides, intersect,
+                                   is_subideal, minimalize, multiply,
                                    unit_ideal, variable, zero_ideal)
-from vertexsplit.splitting import (LinearQuotientOrder, SplitLeaf, SplitNode,
-                                   betti_from_sets, betti_recursive,
-                                   find_linear_quotients, node_parts,
+from vertexsplit.splitting import (InvalidSplitTree, LinearQuotientOrder,
+                                   SplitLeaf, SplitNode, betti_from_sets,
+                                   betti_recursive, find_linear_quotients,
+                                   node_parts,
                                    quotient_order_from_split, split_nodes,
                                    validate_split_tree,
                                    verify_betti_splitting,
@@ -56,6 +59,15 @@ def test_validate_rejects_corrupted_trees():
     # summand not inside the factor
     bad2 = SplitNode(1, SplitLeaf((0, 0, 1)), SplitLeaf((1, 0, 0)))
     assert not validate_split_tree(bad2, mi(3, (0, 1, 1), (1, 0, 0)))
+
+
+def test_quotient_order_rejects_a_tree_that_is_not_a_certificate():
+    # the summand (x) is not inside the factor (z), so no order exists
+    bad = SplitNode(1, SplitLeaf((0, 0, 1)), SplitLeaf((1, 0, 0)))
+    with pytest.raises(InvalidSplitTree, match="not contained"):
+        quotient_order_from_split(bad, 3)
+    with pytest.raises(InvalidSplitTree, match="not contained"):
+        split_nodes(bad, 3)
 
 
 def test_quotient_order_y_xz():
@@ -179,3 +191,112 @@ def test_linear_quotient_order_validation_catches_lies():
     assert verify_linear_quotient_order(good, 3)
     with pytest.raises(ValueError):
         LinearQuotientOrder(((1, 1),), ())
+
+
+def reference_rebuild(tree, n):
+    """Generators encoded by a tree, with every split condition spelled
+    out: each node rebuilds its subtree, rejects colliding generator
+    multisets and scans all pairs of generators for divisibility."""
+    if isinstance(tree, SplitLeaf):
+        if tree.monomial is None:
+            return frozenset()
+        if len(tree.monomial) != n:
+            raise InvalidSplitTree("leaf monomial has the wrong arity")
+        return frozenset({tree.monomial})
+    x = tree.var
+    if not 0 <= x < n:
+        raise InvalidSplitTree(f"split variable {x} out of range")
+    left = reference_rebuild(tree.left, n)
+    right = reference_rebuild(tree.right, n)
+    if any(g[x] for g in left) or any(g[x] for g in right):
+        raise InvalidSplitTree("split parts must avoid the split variable")
+    if not is_subideal(MonomialIdeal(n, right), MonomialIdeal(n, left)):
+        raise InvalidSplitTree("summand ideal not contained in factor ideal")
+    xvar = variable(n, x)
+    gens = frozenset(tuple(e + v for e, v in zip(g, xvar)) for g in left) | right
+    if len(gens) != len(left) + len(right):
+        raise InvalidSplitTree("generator multisets collide")
+    for g in gens:
+        for h in gens:
+            if g != h and divides(g, h):
+                raise InvalidSplitTree("rebuilt generators are not minimal")
+    return gens
+
+
+def reference_nodes(tree, n):
+    """(node, ideal at the node) for every inner node, root first."""
+    if isinstance(tree, SplitLeaf):
+        return []
+    return ([(tree, MonomialIdeal(n, reference_rebuild(tree, n)))]
+            + reference_nodes(tree.left, n) + reference_nodes(tree.right, n))
+
+
+def _paths(tree, leaves):
+    """Paths (tuples of 'left'/'right') to the inner nodes, or the leaves."""
+    if isinstance(tree, SplitLeaf):
+        return [()] if leaves else []
+    here = [] if leaves else [()]
+    return here + [(side,) + p for side in ("left", "right")
+                   for p in _paths(getattr(tree, side), leaves)]
+
+
+def _replace(tree, path, change):
+    if not path:
+        return change(tree)
+    side = path[0]
+    sub = _replace(getattr(tree, side), path[1:], change)
+    if side == "left":
+        return SplitNode(tree.var, sub, tree.right)
+    return SplitNode(tree.var, tree.left, sub)
+
+
+def _corruptions(tree, n, rng):
+    """Variants of a certificate, each changed at one random place: children
+    swapped, split variable shifted, a leaf replaced, I2 made equal to I1."""
+    variants = []
+    inner = _paths(tree, leaves=False)
+    if inner:
+        changes = (
+            lambda t: SplitNode(t.var, t.right, t.left),
+            lambda t: SplitNode(t.var + rng.choice((-1, 1)), t.left, t.right),
+            lambda t: SplitNode(t.var, t.left, t.left),
+        )
+        for change in changes:
+            variants.append(_replace(tree, rng.choice(inner), change))
+    arity = n + 1 if rng.random() < 0.1 else n
+    leaf = SplitLeaf(None if rng.random() < 0.2 else
+                     tuple(rng.choice((0, 0, 1, 2)) for _ in range(arity)))
+    variants.append(_replace(tree, rng.choice(_paths(tree, leaves=True)),
+                             lambda t: leaf))
+    return variants
+
+
+def test_replay_matches_the_spelled_out_reference():
+    rng = Random(29)
+    outcomes = Counter()
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        ideal, tree = random_splittable_ideal(n, rng, max_gens=10)
+        for variant in [tree] + _corruptions(tree, n, rng):
+            try:
+                want = reference_rebuild(variant, n)
+            except InvalidSplitTree as exc:
+                outcomes[str(exc).split()[-1]] += 1
+                assert not validate_split_tree(variant, ideal)
+                with pytest.raises(InvalidSplitTree) as caught:
+                    split_nodes(variant, n)
+                assert str(caught.value) == str(exc)
+                with pytest.raises(InvalidSplitTree):
+                    quotient_order_from_split(variant, n)
+                continue
+            outcomes["accepted"] += 1
+            assert validate_split_tree(variant, MonomialIdeal(n, want))
+            assert validate_split_tree(variant, ideal) == (want == ideal.gens)
+            assert split_nodes(variant, n) == reference_nodes(variant, n)
+            order = quotient_order_from_split(variant, n)
+            assert frozenset(order.generators) == want
+            assert len(order.generators) == len(want)
+    # every rejection the corruptions can provoke was seen; the collision
+    # branch of the reference never fires
+    assert set(outcomes) == {"accepted", "arity", "range", "variable",
+                             "ideal", "minimal"}
