@@ -8,16 +8,19 @@ not representable, and operations that would produce it raise ValueError.
 Ground sets are fixed per object; deletion and link return complexes on the
 smaller ground set with vertices above the removed one shifted down.
 A complex may have ghost vertices: ground-set elements lying in no face.
+
+The Stanley-Reisner complex, the minimal non-faces and both Alexander duals
+come from ``monomials.minimal_transversals`` (F is a face iff its complement
+meets every generator support), so none builds a table of all 2^n subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .monomials import (MonomialIdeal, mono_from_mask, support_mask,
-                        is_squarefree, minimalize)
+                        is_squarefree, minimal_transversals)
 
 MAX_VERTICES = 63  # faces are stored in machine-word bitmasks
 
@@ -176,19 +179,9 @@ def bight(delta: SimplicialComplex) -> int:
 
 def minimal_nonfaces(delta: SimplicialComplex) -> list[int]:
     """Masks of the minimal non-faces, in increasing (cardinality, mask) order."""
-    n = delta.ground_size
-    out = []
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if delta.has_face(mask):
-                continue
-            if any(mask & small == small for small in out):
-                continue
-            out.append(mask)
-    return out
+    full = (1 << delta.ground_size) - 1
+    return sorted(minimal_transversals(full & ~f for f in delta.facets),
+                  key=lambda m: (m.bit_count(), m))
 
 
 def stanley_reisner_ideal(delta: SimplicialComplex) -> MonomialIdeal:
@@ -210,23 +203,8 @@ def complex_of_ideal(I: MonomialIdeal) -> SimplicialComplex:
         raise ValueError("the unit ideal has no Stanley-Reisner complex")
     n = I.num_vars
     gen_masks = [support_mask(g) for g in I.gens]
-    nonface = bytearray(1 << n)
-    for g in gen_masks:
-        # every superset of a generator support is a non-face
-        rest = ((1 << n) - 1) & ~g
-        sub = rest
-        while True:
-            nonface[g | sub] = 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-    facets = []
-    for mask in range(1 << n):
-        if nonface[mask]:
-            continue
-        # maximal iff adding any absent vertex makes a non-face
-        if all(nonface[mask | 1 << v] for v in range(n) if not mask >> v & 1):
-            facets.append(mask)
+    full = (1 << n) - 1
+    facets = [full & ~t for t in minimal_transversals(gen_masks)]
     return SimplicialComplex(n, frozenset(facets))
 
 
@@ -244,5 +222,6 @@ def dual_facet_ideal(delta: SimplicialComplex) -> MonomialIdeal:
     """Ideal generated by the facet complements x^(F^c)."""
     n = delta.ground_size
     full = (1 << n) - 1
-    return minimalize(
-        (mono_from_mask(full & ~f, n) for f in delta.facets), n)
+    # complements of a facet antichain are again an antichain
+    return MonomialIdeal(
+        n, frozenset(mono_from_mask(full & ~f, n) for f in delta.facets))

@@ -17,8 +17,8 @@ from .complexes import (SimplicialComplex, alexander_dual_complex,
 from .decomposition import is_shedding, vertex_decomposable
 from .homology import (FieldChoice, QQ, betti_table, has_linear_resolution,
                        is_cohen_macaulay)
-from .monomials import (MonomialIdeal, intersect, minimalize, mono_from_mask,
-                        unit_ideal, variable_ideal)
+from .monomials import (MonomialIdeal, intersect, mono_from_mask, unit_ideal,
+                        variable_ideal)
 from .splitting import SplitLeaf, SplitNode, SplitTree, vertex_split
 
 
@@ -94,8 +94,8 @@ def delete_vertices(G: Graph, drop) -> Graph:
 
 def edge_ideal(G: Graph) -> MonomialIdeal:
     """Square-free ideal with one degree-two generator per edge."""
-    return minimalize(
-        (mono_from_mask(1 << u | 1 << v, G.n) for u, v in G.edges), G.n)
+    return MonomialIdeal(G.n, frozenset(
+        mono_from_mask(1 << u | 1 << v, G.n) for u, v in G.edges))
 
 
 def cover_ideal(G: Graph) -> MonomialIdeal:

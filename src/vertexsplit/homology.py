@@ -81,6 +81,15 @@ def reduced_homology_dims(delta: SimplicialComplex,
     return {t - 1: dims[t] for t in range(len(dims))}
 
 
+MAX_HOCHSTER_VERTICES = 30
+
+
+def _check_hochster_size(n: int) -> None:
+    if n > MAX_HOCHSTER_VERTICES:
+        raise ValueError(f"the Hochster formula visits 2^{n} vertex subsets; "
+                         f"the limit is {MAX_HOCHSTER_VERTICES} vertices")
+
+
 def _iter_subsets_by_cardinality(n: int):
     for size in range(n + 1):
         for combo in combinations(range(n), size):
@@ -102,6 +111,7 @@ def hochster_betti(delta: SimplicialComplex,
     full = (1 << n) - 1
     if full in delta.facets:
         raise ValueError("the full simplex has zero Stanley-Reisner ideal")
+    _check_hochster_size(n)
     p = field.char
     entries: dict[tuple[int, int], int] = {}
     for j, w in _iter_subsets_by_cardinality(n):
@@ -156,6 +166,8 @@ def betti_table(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
         if I.is_unit:
             hit = make_table({(0, 0): 1}, "ideal")
         elif is_squarefree(I):
+            # refuse before building the complex, which can itself be huge
+            _check_hochster_size(I.num_vars)
             hit = hochster_betti(complex_of_ideal(I), field)
         else:
             hit = koszul_betti(I, field)

@@ -78,6 +78,27 @@ def mono_from_mask(mask: int, n: int) -> Monomial:
     return tuple(1 if mask >> i & 1 else 0 for i in range(n))
 
 
+def minimal_transversals(masks: Iterable[int]) -> frozenset[int]:
+    """Minimal masks meeting every mask of the family (Berge's method): the
+    empty family gives {0} and a family containing 0 gives none."""
+    transversals = [0]
+    for e in masks:
+        kept, grown = [], set()
+        for t in transversals:
+            if t & e:
+                kept.append(t)
+                continue
+            rest = e
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                grown.add(t | bit)
+        # extensions never nest, so only a kept transversal can lie inside one
+        transversals = kept + [u for u in grown
+                               if not any(k & u == k for k in kept)]
+    return frozenset(transversals)
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal, canonically stored by its minimal generators.
@@ -135,10 +156,6 @@ def zero_ideal(n: int) -> MonomialIdeal:
 
 def unit_ideal(n: int) -> MonomialIdeal:
     return MonomialIdeal(n, frozenset({unit_monomial(n)}))
-
-
-def principal_ideal(m: Monomial) -> MonomialIdeal:
-    return MonomialIdeal(len(m), frozenset({tuple(m)}))
 
 
 def variable_ideal(n: int, indices: Iterable[int]) -> MonomialIdeal:
@@ -204,10 +221,6 @@ def alexander_dual_ideal(I: MonomialIdeal) -> MonomialIdeal:
     if not is_squarefree(I):
         raise ValueError("Alexander dual is only defined for square-free ideals")
     n = I.num_vars
-    if I.is_unit:
-        return zero_ideal(n)
-    dual = unit_ideal(n)
-    for g in I.sorted_gens():
-        prime = variable_ideal(n, (i for i, e in enumerate(g) if e))
-        dual = intersect(dual, prime)
-    return dual
+    return MonomialIdeal(n, frozenset(
+        mono_from_mask(t, n)
+        for t in minimal_transversals(support_mask(g) for g in I.gens)))

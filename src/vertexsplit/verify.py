@@ -20,8 +20,8 @@ from .decomposition import (check_pd_equals_bight, oracle_pd_reg,
 from .graphs import (Graph, ScmNode, chordal_split, complement,
                      cover_betti_recursive, cover_ideal,
                      dual_complex_equivalence, edge_ideal, froberg_equivalence,
-                     graph, is_chordal, is_scm_bipartite, path_graph,
-                     simplicial_vertex)
+                     graph, is_bipartite, is_chordal, is_scm_bipartite,
+                     path_graph, simplicial_vertex)
 from .homology import (FieldChoice, QQ, betti_table, has_linear_resolution,
                        koszul_betti)
 from .monomials import (MonomialIdeal, alexander_dual_ideal, degree,
@@ -336,7 +336,7 @@ def suite_cover_recursion(max_n=None, seed=0, count=None, field=QQ) -> SuiteResu
             if not G.edges:
                 continue
             oracle = betti_table(cover, field)
-            scm, cert = (is_scm_bipartite(G) if _bipartite_safe(G)
+            scm, cert = (is_scm_bipartite(G) if is_bipartite(G)
                          else (False, None))
             if scm and isinstance(cert, ScmNode):
                 try:
@@ -360,11 +360,6 @@ def suite_cover_recursion(max_n=None, seed=0, count=None, field=QQ) -> SuiteResu
                                     "disagrees with the oracle")
         _trim_caches()
     return result
-
-
-def _bipartite_safe(G: Graph) -> bool:
-    from .graphs import is_bipartite
-    return is_bipartite(G)
 
 
 def suite_spot(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:

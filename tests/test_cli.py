@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from vertexsplit import cli
@@ -73,6 +75,17 @@ def test_resource_exhaustion_is_a_usage_error(files, monkeypatch, capsys, exc):
 
     monkeypatch.setattr(cli, "_load_ideal_for_betti", exhausted)
     assert main(["betti", "--graph", files["p4.g"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_betti_refuses_a_graph_too_large_for_the_oracle(tmp_path, capsys):
+    rng = Random(40)
+    edges = [(u, v) for u in range(40) for v in range(u + 1, 40)
+             if rng.random() < 0.1]
+    p = tmp_path / "g40.g"
+    p.write_text("n 40\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    assert main(["betti", "--graph", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

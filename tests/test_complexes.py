@@ -132,7 +132,9 @@ def test_minimal_nonfaces_are_minimal_nonfaces():
     rng = Random(5)
     for _ in range(50):
         delta = random_complex(5, 5, rng)
-        for mask in minimal_nonfaces(delta):
+        nonfaces = minimal_nonfaces(delta)
+        assert nonfaces == sorted(nonfaces, key=lambda m: (m.bit_count(), m))
+        for mask in nonfaces:
             assert not delta.has_face(mask)
             sub = mask
             while sub:

@@ -5,7 +5,8 @@ import pytest
 from conftest import mi, sq, tor_betti
 from vertexsplit.betti import (BettiTable, format_flat, format_grid,
                                make_table, pd, quotient_table, reg)
-from vertexsplit.complexes import (complex_of_ideal, from_facets, simplex)
+from vertexsplit.complexes import (complex_of_ideal, empty_complex,
+                                   from_facets, simplex)
 from vertexsplit.corpus import all_squarefree_ideals, random_complex
 from vertexsplit.graphs import cycle_graph, edge_ideal
 from vertexsplit.homology import (FieldChoice, QQ, betti_table,
@@ -56,6 +57,8 @@ def test_hochster_examples():
         {(0, 1): 2, (1, 2): 1}
     with pytest.raises(ValueError):
         hochster_betti(simplex(3))
+    with pytest.raises(ValueError, match="2\\^31 vertex subsets"):
+        hochster_betti(empty_complex(31))
 
 
 def test_koszul_examples():

@@ -1,12 +1,14 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ideals_equal_by_membership, member, mi, sq
 from vertexsplit.monomials import (MonomialIdeal, alexander_dual_ideal, colon,
                                    divides, intersect, is_squarefree,
-                                   is_subideal, minimalize, multiply,
-                                   unit_ideal, variable, x_partition,
-                                   zero_ideal)
+                                   is_subideal, minimal_transversals,
+                                   minimalize, multiply, unit_ideal, variable,
+                                   x_partition, zero_ideal)
 
 
 def test_minimalize_absorbs_multiples():
@@ -116,6 +118,30 @@ def test_alexander_dual_examples():
     assert alexander_dual_ideal(unit_ideal(2)).is_zero
     with pytest.raises(ValueError):
         alexander_dual_ideal(mi(1, (2,)))
+
+
+def _transversals_by_scan(family, n):
+    hitting = [t for t in range(1 << n) if all(t & e for e in family)]
+    return frozenset(t for t in hitting
+                     if not any(s != t and s & t == s for s in hitting))
+
+
+def test_minimal_transversals_match_the_definition():
+    cases = [(3, []), (3, [0]), (3, [0b101, 0, 0b011]),
+             (3, [0b011, 0b011, 0b001]), (4, [0b0001, 0b0011, 0b0111])]
+    rng = Random(23)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        family = [rng.randrange(1 << n) for _ in range(rng.randint(0, 6))]
+        # nested masks and repeats
+        family += [m | rng.randrange(1 << n) for m in family[:2]]
+        family += family[:1]
+        rng.shuffle(family)
+        cases.append((n, family))
+    assert minimal_transversals([]) == {0}
+    assert minimal_transversals([0b101, 0, 0b011]) == frozenset()
+    for n, family in cases:
+        assert minimal_transversals(family) == _transversals_by_scan(family, n)
 
 
 exponents = st.tuples(*[st.integers(0, 2)] * 3)
