@@ -8,7 +8,7 @@ suites that compare them on enumerated and sampled corpora.  The exact
 ranks and homology behind the oracle live in `vertexsplit.kernel`.
 """
 
-from . import decomposition, graphs, homology, kernel, splitting
+from . import _kernel_py, decomposition, graphs, homology, kernel, splitting
 from .betti import BettiTable, format_flat, format_grid, pd, quotient_table, reg
 from .complexes import (SimplicialComplex, alexander_dual_complex, bight,
                         complex_of_ideal, deletion, dual_facet_ideal,
@@ -37,8 +37,17 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Reset every memo table (split/decomposition certificates, Betti
-    tables, homology)."""
+    """Empty the four LRU memo tables (homology, Betti tables, split and
+    decomposition certificates); see `cache_info`."""
     splitting.clear_caches()
     decomposition.clear_caches()
     homology.clear_caches()
+
+
+def cache_info() -> dict:
+    """The `functools` `CacheInfo` (hits, misses, bound, size) of each memo
+    table: `homology`, `tables`, `split` and `decomposition`."""
+    return {"homology": _kernel_py._dims_of_key.cache_info(),
+            "tables": homology._table.cache_info(),
+            "split": splitting._split.cache_info(),
+            "decomposition": decomposition._decompose.cache_info()}

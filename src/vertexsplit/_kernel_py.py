@@ -17,19 +17,22 @@ vertices can dominate each other.  A core that is a single non-empty
 facet is a point and has zero reduced homology; any other core is passed
 to the rank code, and its result is padded with zeros to the length the
 input would have had.  The reduction runs only on a cache miss, and the
-core's result is cached under its own key as well.
+core's result is cached under its own key as well, in an LRU memo of
+`MEMO_SIZE` entries; the package's three other memos share this bound.
 """
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
+
 from .complexes import _max_antichain
 
-_hom_cache: dict[tuple, tuple[int, ...]] = {}
-_CACHE_LIMIT = 1 << 21
+MEMO_SIZE = 1 << 16
 
 
 def clear_caches() -> None:
-    _hom_cache.clear()
+    _dims_of_key.cache_clear()
 
 
 def rank_int(rows) -> int:
@@ -208,24 +211,22 @@ def homology_dims(facets, p: int) -> tuple[int, ...]:
     facets = list(facets)
     if not facets:
         raise ValueError("the void complex has no homology")
-    key = _canonical_key(facets, p)
-    hit = _hom_cache.get(key)
-    if hit is None:
-        if len(_hom_cache) > _CACHE_LIMIT:
-            _hom_cache.clear()
-        top = max(f.bit_count() for f in facets)
-        core = strong_collapse_core(facets)
-        if len(core) == 1 and core[0]:
-            hit = (0,) * (top + 1)
-        else:
-            core_key = _canonical_key(core, p)
-            dims = _hom_cache.get(core_key)
-            if dims is None:
-                dims = _homology_from_masks(core, p)
-                _hom_cache[core_key] = dims
-            hit = dims + (0,) * (top + 1 - len(dims))
-        _hom_cache[key] = hit
-    return hit
+    return _dims_of_key(*_canonical_key(facets, p))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _dims_of_key(packed: bytes, p: int) -> tuple[int, ...]:
+    """`homology_dims` of the facets packed in a canonical key."""
+    facets = [m for (m,) in struct.iter_unpack("<Q", packed)]
+    top = max(f.bit_count() for f in facets)
+    core = strong_collapse_core(facets)
+    if len(core) == 1 and core[0]:
+        return (0,) * (top + 1)
+    core_packed, _ = _canonical_key(core, p)
+    if core_packed == packed:
+        return _homology_from_masks(core, p)
+    dims = _dims_of_key(core_packed, p)
+    return dims + (0,) * (top + 1 - len(dims))
 
 
 def _lcm_lattice(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -27,7 +27,8 @@ from .formats import (ParseError, default_names, format_complex,
 from .graphs import (complement, cover_ideal, domination_shedding,
                      dual_complex_equivalence, edge_ideal, froberg_equivalence,
                      is_bipartite, is_chordal, is_scm_bipartite)
-from .homology import QQ, FieldChoice, betti_table, is_cohen_macaulay, parse_field
+from .homology import (QQ, FieldChoice, betti_table, check_hochster_size,
+                       is_cohen_macaulay, parse_field)
 from .monomials import is_squarefree
 from .splitting import (betti_from_sets, betti_recursive,
                         find_linear_quotients, quotient_order_from_split,
@@ -54,6 +55,10 @@ def _load_ideal_for_betti(args):
         if choice not in ("edge", "cover"):
             raise ParseError("with --graph, --ideal selects `edge` or `cover`")
         G, names = parse_graph(_read(args.graph))
+        if G.edges and (args.mode == "oracle" or args.check):
+            # with an edge, both ideals are square-free and not the unit
+            # ideal, so the oracle's limit applies; building them can be slow
+            check_hochster_size(G.n)
         ideal = edge_ideal(G) if choice == "edge" else cover_ideal(G)
         return ideal, names
     if args.complex:
@@ -79,7 +84,9 @@ def cmd_betti(args) -> int:
               f"mode {args.mode!r} needs a split certificate", file=sys.stderr)
         return VIOLATION
 
-    tables = {"oracle": betti_table(ideal, field)}
+    tables = {}
+    if args.mode == "oracle" or args.check:
+        tables["oracle"] = betti_table(ideal, field)
     if tree is not None:
         tables["recursive"] = betti_recursive(tree)
         tables["sets"] = betti_from_sets(

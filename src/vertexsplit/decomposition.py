@@ -12,12 +12,14 @@ ghost vertices contribute variables to the Stanley-Reisner ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 from .betti import pd as table_pd, quotient_table, reg as table_reg
 from .complexes import (SimplicialComplex, bight, deletion, is_simplex, link,
                         stanley_reisner_ideal)
 from .homology import FieldChoice, QQ, betti_table
+from .kernel import MEMO_SIZE
 
 
 @dataclass(frozen=True)
@@ -35,11 +37,9 @@ class DecompositionNode:
 
 DecompositionTree = Union[SimplexLeaf, DecompositionNode]
 
-_decomp_memo: dict[tuple[int, frozenset], Optional[DecompositionTree]] = {}
-
 
 def clear_caches() -> None:
-    _decomp_memo.clear()
+    _decompose.cache_clear()
 
 
 def is_shedding(delta: SimplicialComplex, x: int) -> bool:
@@ -69,26 +69,26 @@ def vertex_decomposable(delta: SimplicialComplex) -> Optional[DecompositionTree]
     complexes need a shedding vertex whose deletion and link both recurse.
     Vertices are tried in ascending order and the first certificate wins.
     """
-    key = (delta.ground_size, delta.facets)
-    if key in _decomp_memo:
-        return _decomp_memo[key]
-    result: Optional[DecompositionTree] = None
+    return _decompose(delta.ground_size, delta.facets)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _decompose(n: int, facets: frozenset[int]) -> Optional[DecompositionTree]:
+    """`vertex_decomposable` of the complex with these facets."""
+    delta = SimplicialComplex(n, facets)
     if is_simplex(delta):
-        result = SimplexLeaf(next(iter(delta.facets)), delta.ground_size)
-    else:
-        for x in range(delta.ground_size):
-            if not delta.is_vertex(x) or not is_shedding(delta, x):
-                continue
-            del_tree = vertex_decomposable(deletion(delta, x))
-            if del_tree is None:
-                continue
-            link_tree = vertex_decomposable(link(delta, x))
-            if link_tree is None:
-                continue
-            result = DecompositionNode(x, del_tree, link_tree)
-            break
-    _decomp_memo[key] = result
-    return result
+        return SimplexLeaf(next(iter(facets)), n)
+    for x in range(n):
+        if not delta.is_vertex(x) or not is_shedding(delta, x):
+            continue
+        del_tree = vertex_decomposable(deletion(delta, x))
+        if del_tree is None:
+            continue
+        link_tree = vertex_decomposable(link(delta, x))
+        if link_tree is None:
+            continue
+        return DecompositionNode(x, del_tree, link_tree)
+    return None
 
 
 def validate_decomposition_tree(tree: DecompositionTree,

@@ -12,13 +12,14 @@ rationals, modular elimination over prime fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from . import kernel
 from .betti import BettiTable, make_table
 from .complexes import (SimplicialComplex, complex_of_ideal, dual_facet_ideal,
                         restrict_masks)
-from .monomials import MonomialIdeal, degree, is_squarefree
+from .monomials import Monomial, MonomialIdeal, degree, is_squarefree
 
 
 def _is_prime(p: int) -> bool:
@@ -84,7 +85,7 @@ def reduced_homology_dims(delta: SimplicialComplex,
 MAX_HOCHSTER_VERTICES = 30
 
 
-def _check_hochster_size(n: int) -> None:
+def check_hochster_size(n: int) -> None:
     if n > MAX_HOCHSTER_VERTICES:
         raise ValueError(f"the Hochster formula visits 2^{n} vertex subsets; "
                          f"the limit is {MAX_HOCHSTER_VERTICES} vertices")
@@ -111,7 +112,7 @@ def hochster_betti(delta: SimplicialComplex,
     full = (1 << n) - 1
     if full in delta.facets:
         raise ValueError("the full simplex has zero Stanley-Reisner ideal")
-    _check_hochster_size(n)
+    check_hochster_size(n)
     p = field.char
     entries: dict[tuple[int, int], int] = {}
     for j, w in _iter_subsets_by_cardinality(n):
@@ -138,21 +139,13 @@ def koszul_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     return make_table(entries, "ideal")
 
 
-_table_cache: dict[tuple, BettiTable] = {}
-
-
-def clear_table_cache() -> None:
-    """Drop memoized Betti tables but keep the homology caches warm."""
-    _table_cache.clear()
-
-
 def clear_caches() -> None:
-    _table_cache.clear()
+    _table.cache_clear()
     kernel.clear_caches()
 
 
 def betti_table(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
-    """Canonical oracle table of an ideal (memoized).
+    """Canonical oracle table of an ideal (LRU-memoized, `kernel.MEMO_SIZE`).
 
     Square-free ideals go through the subset-restriction formula, general
     monomial ideals through the upper Koszul route; the two agree on the
@@ -160,19 +153,20 @@ def betti_table(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     """
     if I.is_zero:
         return make_table({}, "ideal")
-    key = (I.num_vars, tuple(I.sorted_gens()), field.char)
-    hit = _table_cache.get(key)
-    if hit is None:
-        if I.is_unit:
-            hit = make_table({(0, 0): 1}, "ideal")
-        elif is_squarefree(I):
-            # refuse before building the complex, which can itself be huge
-            _check_hochster_size(I.num_vars)
-            hit = hochster_betti(complex_of_ideal(I), field)
-        else:
-            hit = koszul_betti(I, field)
-        _table_cache[key] = hit
-    return hit
+    return _table(I.num_vars, tuple(I.sorted_gens()), field.char)
+
+
+@lru_cache(maxsize=kernel.MEMO_SIZE)
+def _table(n: int, gens: tuple[Monomial, ...], p: int) -> BettiTable:
+    """`betti_table` of the nonzero ideal with these sorted generators."""
+    I = MonomialIdeal(n, frozenset(gens))
+    if I.is_unit:
+        return make_table({(0, 0): 1}, "ideal")
+    if is_squarefree(I):
+        # refuse before building the complex, which can itself be huge
+        check_hochster_size(n)
+        return hochster_betti(complex_of_ideal(I), FieldChoice(p))
+    return koszul_betti(I, FieldChoice(p))
 
 
 def has_linear_resolution(I: MonomialIdeal, field: FieldChoice = QQ) -> bool:

@@ -7,10 +7,10 @@ entry points, so `kernel.homology_dims is _kernel_py.homology_dims`.
 
 from __future__ import annotations
 
-from ._kernel_py import (clear_caches, homology_dims, koszul_table,
-                         rank_int, rank_mod)
+from ._kernel_py import (MEMO_SIZE, clear_caches, homology_dims,
+                         koszul_table, rank_int, rank_mod)
 
-__all__ = ["active_backend", "clear_caches", "homology_dims",
+__all__ = ["MEMO_SIZE", "active_backend", "clear_caches", "homology_dims",
            "koszul_table", "rank_int", "rank_mod"]
 
 

@@ -11,11 +11,13 @@ into y*(x, z) + 0, so the convention is forced by the edge-ideal corollas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Optional, Union
 
 from .betti import BettiTable, add_shifted, make_table
 from .homology import FieldChoice, QQ, betti_table
+from .kernel import MEMO_SIZE
 from .monomials import (Monomial, MonomialIdeal, colon, degree, divides,
                         intersect, is_subideal, minimalize, mono_gcd,
                         mono_div, mono_mul, multiply, variable,
@@ -37,11 +39,9 @@ class SplitNode:
 
 SplitTree = Union[SplitLeaf, SplitNode]
 
-_split_memo: dict[tuple[int, frozenset], Optional[SplitTree]] = {}
-
 
 def clear_caches() -> None:
-    _split_memo.clear()
+    _split.cache_clear()
 
 
 def vertex_split(I: MonomialIdeal) -> Optional[SplitTree]:
@@ -52,36 +52,33 @@ def vertex_split(I: MonomialIdeal) -> Optional[SplitTree]:
     (the parts must live in the ring without that variable).  The first
     certificate found is returned; certificates are not canonical.
     """
-    key = (I.num_vars, I.gens)
-    if key in _split_memo:
-        return _split_memo[key]
-    result: Optional[SplitTree] = None
-    if I.is_zero:
-        result = SplitLeaf(None)
-    elif len(I.gens) == 1:
-        result = SplitLeaf(next(iter(I.gens)))
-    else:
-        gens = I.sorted_gens()
-        for x in range(I.num_vars):
-            if max(g[x] for g in gens) != 1:
-                continue
-            part_j, part_k = x_partition(I, x)
-            xvar = variable(I.num_vars, x)
-            factor = MonomialIdeal(
-                I.num_vars,
-                frozenset(mono_div(g, xvar) for g in part_j.gens))
-            if not is_subideal(part_k, factor):
-                continue
-            left = vertex_split(factor)
-            if left is None:
-                continue
-            right = vertex_split(part_k)
-            if right is None:
-                continue
-            result = SplitNode(x, left, right)
-            break
-    _split_memo[key] = result
-    return result
+    return _split(I.num_vars, I.gens)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _split(n: int, gens: frozenset[Monomial]) -> Optional[SplitTree]:
+    """`vertex_split` of the ideal with these minimal generators."""
+    if not gens:
+        return SplitLeaf(None)
+    if len(gens) == 1:
+        return SplitLeaf(next(iter(gens)))
+    I = MonomialIdeal(n, gens)
+    for x in range(n):
+        if max(g[x] for g in gens) != 1:
+            continue
+        part_j, part_k = x_partition(I, x)
+        xvar = variable(n, x)
+        factor = frozenset(mono_div(g, xvar) for g in part_j.gens)
+        if not is_subideal(part_k, MonomialIdeal(n, factor)):
+            continue
+        left = _split(n, factor)
+        if left is None:
+            continue
+        right = _split(n, part_k.gens)
+        if right is None:
+            continue
+        return SplitNode(x, left, right)
+    return None
 
 
 class InvalidSplitTree(ValueError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from random import Random
 
-from . import corpus, homology
+from . import corpus
 from .betti import pd as table_pd, quotient_table, reg as table_reg
 from .complexes import bight, dual_facet_ideal, from_facets
 from .decomposition import (check_pd_equals_bight, oracle_pd_reg,
@@ -58,11 +58,6 @@ class SuiteResult:
         lines += [f"  note: {note}" for note in self.notes]
         lines += [f"  counterexample: {msg}" for msg in self.failures]
         return "\n".join(lines)
-
-
-def _trim_caches() -> None:
-    """Bound memory on long corpus runs; homology stays cached."""
-    homology.clear_table_cache()
 
 
 def suite_duality(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
@@ -114,8 +109,7 @@ def suite_betti_agreement(max_n=None, seed=0, count=None, field=QQ) -> SuiteResu
     max_n = 7 if max_n is None else max_n
     count = 10000 if count is None else count
     result = SuiteResult("betti-agreement")
-    for k, (ideal, tree) in enumerate(
-            _splittable_corpus(count, max_n, 12, seed)):
+    for ideal, tree in _splittable_corpus(count, max_n, 12, seed):
         oracle = koszul_betti(ideal, field) if not ideal.is_zero else None
         recursive = betti_recursive(tree)
         sets_route = betti_from_sets(quotient_order_from_split(tree, ideal.num_vars))
@@ -123,9 +117,6 @@ def suite_betti_agreement(max_n=None, seed=0, count=None, field=QQ) -> SuiteResu
         if not (oracle == recursive == sets_route):
             result.fail(f"{ideal!r}: oracle={oracle.entries} "
                         f"recursive={recursive.entries} sets={sets_route.entries}")
-        if (k + 1) % 500 == 0:
-            _trim_caches()
-    _trim_caches()
     return result
 
 
@@ -137,8 +128,7 @@ def suite_betti_splitting(max_n=None, seed=0, count=None, field=QQ) -> SuiteResu
     count = 10000 if count is None else count
     result = SuiteResult("betti-splitting")
     nodes_checked = 0
-    for k, (ideal, tree) in enumerate(
-            _splittable_corpus(count, max_n, 12, seed)):
+    for ideal, tree in _splittable_corpus(count, max_n, 12, seed):
         result.checked += 1
         for node, node_ideal in split_nodes(tree, ideal.num_vars):
             # I2 avoids x, so the generators with x are exactly x*I1
@@ -153,10 +143,7 @@ def suite_betti_splitting(max_n=None, seed=0, count=None, field=QQ) -> SuiteResu
                 result.fail(f"x*I1 and I2 meet off x*I2 at {node_ideal!r}")
             if not _reg_pd_consequences(node_ideal, part_j, part_k, meet, field):
                 result.fail(f"reg/pd splitting consequence fails at {node_ideal!r}")
-        if (k + 1) % 500 == 0:
-            _trim_caches()
     result.notes.append(f"{nodes_checked} certificate nodes verified")
-    _trim_caches()
     return result
 
 
@@ -247,7 +234,6 @@ def suite_terai(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
         delta = corpus.random_complex(sample_n, max_facets=8, rng=rng)
         check(MonomialIdeal(sample_n, frozenset(
             mono_from_mask(m, sample_n) for m in delta.facets)))
-    _trim_caches()
     return result
 
 
@@ -267,7 +253,6 @@ def suite_froberg(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
             dual_report = dual_complex_equivalence(G, field)
             if not dual_report.all_agree:
                 result.fail(f"{G!r}: {dual_report}")
-        _trim_caches()
     return result
 
 
@@ -316,7 +301,6 @@ def suite_linear_quotients(max_n=None, seed=0, count=None, field=QQ) -> SuiteRes
             if not has_linear_resolution(ideal, field):
                 result.fail(f"{ideal!r}: equigenerated splittable ideal "
                             "without linear resolution")
-    _trim_caches()
     return result
 
 
@@ -358,7 +342,6 @@ def suite_cover_recursion(max_n=None, seed=0, count=None, field=QQ) -> SuiteResu
                     if table != oracle:
                         result.fail(f"{G!r}: chordal recursion at y={y} "
                                     "disagrees with the oracle")
-        _trim_caches()
     return result
 
 

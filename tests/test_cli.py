@@ -1,3 +1,4 @@
+from math import comb
 from random import Random
 
 import pytest
@@ -86,6 +87,34 @@ def test_betti_refuses_a_graph_too_large_for_the_oracle(tmp_path, capsys):
     p = tmp_path / "g40.g"
     p.write_text("n 40\n" + "".join(f"{u} {v}\n" for u, v in edges))
     assert main(["betti", "--graph", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_betti_recursive_mode_skips_the_oracle(tmp_path, capsys):
+    # the edge ideal of a star on 35 vertices is x0*(x1, ..., x34): it
+    # splits, so the recursion needs no 2^35-subset oracle table
+    p = tmp_path / "star35.g"
+    p.write_text("n 35\n" + "".join(f"0 {v}\n" for v in range(1, 35)))
+    code = main(["betti", "--graph", str(p), "--ideal", "edge",
+                 "--mode", "recursive", "--format", "flat"])
+    assert code == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out == [f"{i} {i + 2} {comb(34, i + 1)}" for i in range(34)]
+
+
+def test_betti_refuses_a_large_graph_before_building_its_ideal(
+        tmp_path, monkeypatch, capsys):
+    def unreachable(G):
+        raise AssertionError("the cover ideal was built before the refusal")
+
+    monkeypatch.setattr(cli, "cover_ideal", unreachable)
+    rng = Random(40)
+    edges = [(u, v) for u in range(40) for v in range(u + 1, 40)
+             if rng.random() < 0.5]
+    p = tmp_path / "g40.g"
+    p.write_text("n 40\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    assert main(["betti", "--graph", str(p), "--ideal", "cover"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

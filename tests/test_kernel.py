@@ -7,9 +7,11 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vertexsplit
 from conftest import fraction_rank
 from vertexsplit import kernel
 from vertexsplit import _kernel_py
+from vertexsplit.graphs import cover_ideal, path_graph
 
 
 def test_kernel_reexports_the_python_implementation():
@@ -54,10 +56,36 @@ def test_homology_rejects_void_complex():
 
 
 def test_kernel_caches_clear():
-    _kernel_py.homology_dims([0b11, 0b101], 0)
-    assert _kernel_py._hom_cache
+    vertexsplit.clear_caches()
+    I = cover_ideal(path_graph(4))
+    vertexsplit.vertex_split(I)
+    vertexsplit.betti_table(I)
+    vertexsplit.vertex_decomposable(vertexsplit.complex_of_ideal(I))
+    info = vertexsplit.cache_info()
+    assert sorted(info) == ["decomposition", "homology", "split", "tables"]
+    assert all(c.currsize and c.maxsize == kernel.MEMO_SIZE
+               for c in info.values())
+    # the kernel's reset empties the homology memo only
     kernel.clear_caches()
-    assert not _kernel_py._hom_cache
+    sizes = {name: c.currsize for name, c in vertexsplit.cache_info().items()}
+    assert sizes["homology"] == 0
+    assert all(sizes[name] for name in ("tables", "split", "decomposition"))
+    # the package-level reset empties all four
+    vertexsplit.clear_caches()
+    assert all(c.currsize == 0 for c in vertexsplit.cache_info().values())
+
+
+def test_a_collapsing_miss_counts_as_a_miss():
+    # a cone collapses to a point, so no rank is computed; the cache still
+    # records a miss, then a hit
+    cone = [0b00111, 0b01101, 0b11001]
+    vertexsplit.clear_caches()
+    _kernel_py.homology_dims(cone, 0)
+    info = vertexsplit.cache_info()["homology"]
+    assert (info.hits, info.misses) == (0, 1)
+    _kernel_py.homology_dims(cone, 0)
+    info = vertexsplit.cache_info()["homology"]
+    assert (info.hits, info.misses) == (1, 1)
 
 
 # the six-vertex real projective plane: no vertex is dominated, and its
@@ -153,7 +181,12 @@ def test_core_result_is_padded_to_input_length():
     facets = [0b0000011, 0b0000110, 0b0000101, 0b1111000 | 0b0000001]
     _kernel_py.clear_caches()
     assert _kernel_py.homology_dims(facets, 0) == (0, 0, 1, 0, 0, 0)
+    info = vertexsplit.cache_info()["homology"]
+    assert (info.hits, info.misses) == (0, 2)
+    # the core, the bare hollow triangle, was cached under its own key
     assert _kernel_py.homology_dims([0b011, 0b110, 0b101], 0) == (0, 0, 1)
+    info = vertexsplit.cache_info()["homology"]
+    assert (info.hits, info.misses) == (1, 2)
 
 
 def test_bench_kernel_runs_from_a_checkout(tmp_path):
