@@ -139,7 +139,16 @@ def strong_collapse_core(facets) -> list[int]:
     homology; it is never empty, and it is a single facet exactly when
     the input strong-collapses to a point (a cone, for instance).
     """
-    core = list(_max_antichain(facets))
+    return _collapse(_max_antichain(facets))
+
+
+def _collapse(facets) -> list[int]:
+    """`strong_collapse_core` of masks that already form an antichain.
+
+    On other masks every deleted vertex is still dominated, so the result
+    has the same homotopy type, but some dominated vertices may remain.
+    """
+    core = list(facets)
     changed = True
     while changed:
         changed = False
@@ -207,7 +216,11 @@ def _homology_from_masks(facets: list[int], p: int) -> tuple[int, ...]:
 
 def homology_dims(facets, p: int) -> tuple[int, ...]:
     """Reduced homology over QQ (p=0) or GF(p) of the complex generated by
-    the given facet bitmasks.  Entry t is the dimension in degree t-1."""
+    the given facet bitmasks.  Entry t is the dimension in degree t-1.
+
+    Any masks are accepted.  The library passes facet antichains, which
+    are not reduced again; on other masks the strong collapse may stop
+    early, which costs time but not exactness."""
     facets = list(facets)
     if not facets:
         raise ValueError("the void complex has no homology")
@@ -219,7 +232,7 @@ def _dims_of_key(packed: bytes, p: int) -> tuple[int, ...]:
     """`homology_dims` of the facets packed in a canonical key."""
     facets = [m for (m,) in struct.iter_unpack("<Q", packed)]
     top = max(f.bit_count() for f in facets)
-    core = strong_collapse_core(facets)
+    core = _collapse(facets)
     if len(core) == 1 and core[0]:
         return (0,) * (top + 1)
     core_packed, _ = _canonical_key(core, p)
@@ -229,21 +242,6 @@ def _dims_of_key(packed: bytes, p: int) -> tuple[int, ...]:
     return dims + (0,) * (top + 1 - len(dims))
 
 
-def _lcm_lattice(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    lattice = set(gens)
-    frontier = list(gens)
-    while frontier:
-        fresh = []
-        for b in frontier:
-            for g in gens:
-                join = tuple(x if x >= y else y for x, y in zip(b, g))
-                if join not in lattice:
-                    lattice.add(join)
-                    fresh.append(join)
-        frontier = fresh
-    return sorted(lattice)
-
-
 def koszul_table(exponents, p: int) -> dict[tuple[int, int], int]:
     """Graded Betti numbers of the ideal with the given minimal generators.
 
@@ -251,22 +249,29 @@ def koszul_table(exponents, p: int) -> dict[tuple[int, int], int]:
     b strand is the reduced homology of the complex whose faces are the
     square-free t with x^b / x^t in the ideal; that complex is the union of
     the simplexes on {i : b_i > g_i} over the generators g dividing x^b.
+    The lattice is built by joining each generator into the joins found so
+    far, and each strand's facets come from one antichain pass.
     """
     gens = [tuple(map(int, g)) for g in exponents]
-    if not gens:
-        return {}
+    lattice: set[tuple[int, ...]] = set()
+    for g in gens:
+        lattice |= {tuple(map(max, b, g)) for b in lattice}
+        lattice.add(g)
     table: dict[tuple[int, int], int] = {}
-    for b in _lcm_lattice(gens):
-        masks = set()
+    for b in lattice:
+        masks = []
         for g in gens:
-            if all(ge <= be for ge, be in zip(g, b)):
-                mask = 0
-                for i, (ge, be) in enumerate(zip(g, b)):
-                    if be > ge:
-                        mask |= 1 << i
-                masks.add(mask)
-        facets = [mk for mk in masks
-                  if not any(mk != other and mk & other == mk for other in masks)]
+            mask = 0
+            bit = 1
+            for ge, be in zip(g, b):
+                if ge > be:
+                    break
+                if be > ge:
+                    mask |= bit
+                bit <<= 1
+            else:
+                masks.append(mask)
+        facets = _max_antichain(masks)
         common = ~0
         for mk in facets:
             common &= mk
@@ -276,6 +281,5 @@ def koszul_table(exponents, p: int) -> dict[tuple[int, int], int]:
         j = sum(b)
         for t, d in enumerate(dims):
             if d:
-                key = (t, j)
-                table[key] = table.get(key, 0) + d
+                table[t, j] = table.get((t, j), 0) + d
     return table

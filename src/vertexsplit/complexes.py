@@ -41,10 +41,13 @@ def mask_to_set(mask: int) -> frozenset[int]:
 
 def _max_antichain(masks: Iterable[int]) -> frozenset[int]:
     """Keep only the masks that are maximal under inclusion."""
-    pool = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
     maximal: list[int] = []
-    for m in pool:
-        if not any(m & big == m for big in maximal):
+    # larger masks first; masks of equal size never contain one another
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for big in maximal:
+            if m & big == m:
+                break
+        else:
             maximal.append(m)
     return frozenset(maximal)
 

@@ -1,7 +1,8 @@
 """Corpus builders: exhaustive enumeration of small complexes, ideals and
 graphs, and seeded random generators.  Random splittable ideals are built
 by sampling certificate trees, so their labels are true by construction;
-every sample is replayed through the validator before being returned.
+every node is checked as it is sampled, by the same per-node check that
+replays a certificate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .graphs import Graph
 from .monomials import (Monomial, MonomialIdeal, colon, intersect,
                         mono_from_mask, mono_mul)
 from .splitting import (InvalidSplitTree, SplitLeaf, SplitNode, SplitTree,
-                        _rebuild)
+                        _node_gens)
 
 
 def _antichain_families(n: int) -> Iterator[tuple[int, ...]]:
@@ -85,47 +86,51 @@ def _avoiding(I: MonomialIdeal, y: int) -> MonomialIdeal:
 
 
 def _sample_contained(variables: tuple[int, ...], target: MonomialIdeal,
-                      rng: Random, depth: int) -> SplitTree:
-    """Certificate for a random splittable ideal contained in target."""
+                      rng: Random, depth: int
+                      ) -> tuple[SplitTree, tuple[Monomial, ...]]:
+    """Certificate for a random splittable ideal contained in target,
+    with its replayed generators."""
     if target.is_zero or rng.random() < 0.12:
-        return SplitLeaf(None)
+        return SplitLeaf(None), ()
     if depth <= 0 or not variables or rng.random() < 0.33:
         if not variables:
-            return SplitLeaf(None)
+            return SplitLeaf(None), ()
         # a unit multiplier would duplicate a generator of the enclosing
         # factor ideal, so insist on a proper multiple
         base = rng.choice(sorted(target.gens))
         extra = _random_monomial(variables, target.num_vars, rng,
                                  allow_unit=False)
-        return SplitLeaf(mono_mul(base, extra))
+        leaf = mono_mul(base, extra)
+        return SplitLeaf(leaf), (leaf,)
+    n = target.num_vars
     y = rng.choice(variables)
     rest = tuple(v for v in variables if v != y)
     # anything inside (target : y) and free of y can be multiplied by y and
     # stay inside target
     quotient = _avoiding(
-        colon(target, tuple(1 if k == y else 0
-                            for k in range(target.num_vars))), y)
-    left = _sample_contained(rest, quotient, rng, depth - 1)
-    left_gens = frozenset(_rebuild(left, target.num_vars)[0])
+        colon(target, tuple(1 if k == y else 0 for k in range(n))), y)
+    left, left_gens = _sample_contained(rest, quotient, rng, depth - 1)
     if not left_gens:
-        return SplitLeaf(None)
-    left_ideal = MonomialIdeal(target.num_vars, left_gens)
-    right = _sample_contained(
+        return SplitLeaf(None), ()
+    left_ideal = MonomialIdeal(n, frozenset(left_gens))
+    right, right_gens = _sample_contained(
         rest, _avoiding(intersect(left_ideal, target), y), rng, depth - 1)
-    return SplitNode(y, left, right)
+    return SplitNode(y, left, right), _node_gens(y, left_gens, right_gens, n)
 
 
 def _sample_split(variables: tuple[int, ...], n: int, rng: Random,
-                  depth: int) -> SplitTree:
-    """Certificate for a random nonzero splittable ideal."""
+                  depth: int) -> tuple[SplitTree, tuple[Monomial, ...]]:
+    """Certificate for a random nonzero splittable ideal, with its
+    replayed generators."""
     if depth <= 0 or not variables or rng.random() < 0.1:
-        return SplitLeaf(_random_monomial(variables, n, rng))
+        leaf = _random_monomial(variables, n, rng)
+        return SplitLeaf(leaf), (leaf,)
     x = rng.choice(variables)
     rest = tuple(v for v in variables if v != x)
-    left = _sample_split(rest, n, rng, depth - 1)
-    left_ideal = MonomialIdeal(n, frozenset(_rebuild(left, n)[0]))
-    right = _sample_contained(rest, left_ideal, rng, depth - 1)
-    return SplitNode(x, left, right)
+    left, left_gens = _sample_split(rest, n, rng, depth - 1)
+    left_ideal = MonomialIdeal(n, frozenset(left_gens))
+    right, right_gens = _sample_contained(rest, left_ideal, rng, depth - 1)
+    return SplitNode(x, left, right), _node_gens(x, left_gens, right_gens, n)
 
 
 def random_splittable_ideal(
@@ -140,10 +145,9 @@ def random_splittable_ideal(
     variables = tuple(range(n))
     for _ in range(max_tries):
         try:
-            tree = _sample_split(variables, n, rng, depth=n)
-            gens = frozenset(_rebuild(tree, n)[0])
+            tree, gens = _sample_split(variables, n, rng, depth=n)
         except InvalidSplitTree:
             continue
         if gens and len(gens) <= max_gens:
-            return MonomialIdeal(n, gens), tree
+            return MonomialIdeal(n, frozenset(gens)), tree
     raise RuntimeError("random splittable sampling failed to converge")

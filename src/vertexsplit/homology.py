@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from . import kernel
 from .betti import BettiTable, make_table
 from .complexes import (SimplicialComplex, complex_of_ideal, dual_facet_ideal,
-                        restrict_masks)
+                        minimal_nonfaces, restrict_masks)
 from .monomials import Monomial, MonomialIdeal, degree, is_squarefree
 
 
@@ -91,43 +90,38 @@ def check_hochster_size(n: int) -> None:
                          f"the limit is {MAX_HOCHSTER_VERTICES} vertices")
 
 
-def _iter_subsets_by_cardinality(n: int):
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            yield size, mask
-
-
 def hochster_betti(delta: SimplicialComplex,
                    field: FieldChoice = QQ) -> BettiTable:
     """Betti table of the Stanley-Reisner ideal of delta.
 
     beta_{i,j} is the sum over the cardinality-j vertex subsets W of the
-    reduced homology of the restriction to W in degree j - i - 2.
-    Restrictions that are cones are skipped (they are acyclic).
+    reduced homology of the restriction to W in degree j - i - 2.  Only the
+    W in the lcm lattice, the unions of minimal non-faces, are restricted.
+    At any other W some vertex lies in no minimal non-face inside W, so the
+    restriction is a cone on it and is acyclic (Gasharov-Peeva-Welker).
+    The lattice can hold 2^n subsets, so it is tested per W, not stored.
     """
     n = delta.ground_size
     full = (1 << n) - 1
     if full in delta.facets:
         raise ValueError("the full simplex has zero Stanley-Reisner ideal")
     check_hochster_size(n)
+    supports = minimal_nonfaces(delta)
     p = field.char
     entries: dict[tuple[int, int], int] = {}
-    for j, w in _iter_subsets_by_cardinality(n):
-        facets = restrict_masks(delta.facets, w)
-        common = ~0
-        for f in facets:
-            common &= f
-        if common:
+    for w in range(1, full + 1):
+        union = 0
+        for g in supports:
+            if g & w == g:
+                union |= g
+        if union != w:
             continue
-        dims = kernel.homology_dims(sorted(facets), p)
+        dims = kernel.homology_dims(restrict_masks(delta.facets, w), p)
+        j = w.bit_count()
         for t, d in enumerate(dims):
             i = j - t - 1
             if d and i >= 0:
-                key = (i, j)
-                entries[key] = entries.get(key, 0) + d
+                entries[i, j] = entries.get((i, j), 0) + d
     return make_table(entries, "ideal")
 
 

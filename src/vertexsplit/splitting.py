@@ -105,6 +105,17 @@ def _rebuild(tree: SplitTree, n: int, nodes: Optional[list] = None
         nodes.append(None)
     left, left_sets = _rebuild(tree.left, n, nodes)
     right, right_sets = _rebuild(tree.right, n, nodes)
+    gens = _node_gens(x, left, right, n)
+    if nodes is not None:
+        nodes[slot] = (tree, MonomialIdeal(n, frozenset(gens)))
+    return gens, left_sets + tuple(s | {x} for s in right_sets)
+
+
+def _node_gens(x: int, left: tuple[Monomial, ...], right: tuple[Monomial, ...],
+               n: int) -> tuple[Monomial, ...]:
+    """Generators of x*I1 + I2, in quotient order, from the replayed
+    generators of I1 and I2; raises InvalidSplitTree unless the split
+    conditions hold at this node."""
     if any(g[x] for g in left) or any(g[x] for g in right):
         raise InvalidSplitTree("split parts must avoid the split variable")
     factor, summand = frozenset(left), frozenset(right)
@@ -117,10 +128,7 @@ def _rebuild(tree: SplitTree, n: int, nodes: Optional[list] = None
     if factor & summand:
         raise InvalidSplitTree("rebuilt generators are not minimal")
     xvar = variable(n, x)
-    gens = tuple(mono_mul(g, xvar) for g in left) + right
-    if nodes is not None:
-        nodes[slot] = (tree, MonomialIdeal(n, frozenset(gens)))
-    return gens, left_sets + tuple(s | {x} for s in right_sets)
+    return tuple(mono_mul(g, xvar) for g in left) + right
 
 
 def validate_split_tree(tree: SplitTree, I: MonomialIdeal) -> bool:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -101,6 +105,27 @@ def test_betti_recursive_mode_skips_the_oracle(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out == [f"{i} {i + 2} {comb(34, i + 1)}" for i in range(34)]
+
+
+def test_a_closed_stdout_is_not_an_error(tmp_path):
+    # `betti ... | head -3` once printed "error: [Errno 32] Broken pipe"
+    # and exited 2; here the reader is gone before the first write
+    p = tmp_path / "star35.g"
+    p.write_text("n 35\n" + "".join(f"0 {v}\n" for v in range(1, 35)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "vertexsplit.cli", "betti", "--graph",
+             str(p), "--ideal", "edge", "--mode", "sets", "--format", "flat"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_betti_refuses_a_large_graph_before_building_its_ideal(

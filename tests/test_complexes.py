@@ -1,10 +1,11 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import mi, sq
-from vertexsplit.complexes import (alexander_dual_complex, bight,
-                                   complex_of_ideal, deletion,
+from vertexsplit.complexes import (_max_antichain, alexander_dual_complex,
+                                   bight, complex_of_ideal, deletion,
                                    dual_facet_ideal, empty_complex,
                                    from_facets, induced_subcomplex, is_pure,
                                    is_simplex, link, minimal_nonfaces,
@@ -26,6 +27,16 @@ def test_from_facets_reduces_to_antichain():
         from_facets([], 3)
     with pytest.raises(ValueError):
         from_facets([{5}], 3)
+
+
+# few distinct values, so lists repeat masks and often hold 0
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 63), max_size=12))
+def test_max_antichain_keeps_exactly_the_maximal_masks(masks):
+    maximal = {m for m in masks
+               if not any(m != big and m & big == m for big in masks)}
+    assert _max_antichain(masks) == maximal
+    assert _max_antichain(iter(masks)) == maximal
 
 
 def test_is_simplex():

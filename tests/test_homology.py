@@ -1,12 +1,15 @@
+from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import mi, sq, tor_betti
+from vertexsplit import kernel
 from vertexsplit.betti import (BettiTable, format_flat, format_grid,
                                make_table, pd, quotient_table, reg)
 from vertexsplit.complexes import (complex_of_ideal, empty_complex,
-                                   from_facets, simplex)
+                                   from_facet_masks, from_facets, simplex)
 from vertexsplit.corpus import all_squarefree_ideals, random_complex
 from vertexsplit.graphs import cycle_graph, edge_ideal
 from vertexsplit.homology import (FieldChoice, QQ, betti_table,
@@ -94,6 +97,54 @@ def test_hochster_equals_koszul_sampled():
             I = MonomialIdeal(n, frozenset(
                 mono_from_mask(m, n) for m in delta.facets))
             assert hochster_betti(complex_of_ideal(I)) == koszul_betti(I)
+
+
+def reference_hochster(delta, p):
+    """The Hochster sum over all 2^n vertex subsets W, by cardinality: the
+    restriction's facets by a brute-force maximality filter, and a
+    restriction skipped only when a vertex lies in all of its facets."""
+    n = delta.ground_size
+    entries = {}
+    for j in range(n + 1):
+        for combo in combinations(range(n), j):
+            w = sum(1 << v for v in combo)
+            faces = {f & w for f in delta.facets}
+            facets = [f for f in faces
+                      if not any(f != g and f & g == f for g in faces)]
+            common = ~0
+            for f in facets:
+                common &= f
+            if common:
+                continue
+            dims = kernel.homology_dims(sorted(facets), p)
+            for t, d in enumerate(dims):
+                i = j - t - 1
+                if d and i >= 0:
+                    entries[i, j] = entries.get((i, j), 0) + d
+    return make_table(entries, "ideal")
+
+
+@st.composite
+def hochster_inputs(draw):
+    """Complexes on at most 7 vertices other than the full simplex: random
+    facets (ghost vertices where they miss a vertex), the {emptyset}
+    complex, and cones over either."""
+    n = draw(st.integers(1, 7))
+    if draw(st.integers(0, 9)):
+        masks = draw(st.lists(st.integers(0, (1 << n) - 2),
+                              min_size=1, max_size=8))
+    else:
+        masks = [0]
+    if n < 7 and draw(st.booleans()):
+        masks, n = [m | 1 << n for m in masks], n + 1
+    return from_facet_masks(masks, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hochster_inputs(), st.sampled_from([0, 2]))
+def test_hochster_matches_the_full_subset_loop(delta, p):
+    expected = reference_hochster(delta, p)
+    assert hochster_betti(delta, FieldChoice(p)) == expected
 
 
 def test_rational_and_mod_p_tables_agree_at_small_scale():

@@ -5,13 +5,14 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import vertexsplit
-from conftest import fraction_rank
+from conftest import fraction_rank, mi
 from vertexsplit import kernel
 from vertexsplit import _kernel_py
 from vertexsplit.graphs import cover_ideal, path_graph
+from vertexsplit.monomials import is_squarefree
 
 
 def test_kernel_reexports_the_python_implementation():
@@ -187,6 +188,64 @@ def test_core_result_is_padded_to_input_length():
     assert _kernel_py.homology_dims([0b011, 0b110, 0b101], 0) == (0, 0, 1)
     info = vertexsplit.cache_info()["homology"]
     assert (info.hits, info.misses) == (1, 2)
+
+
+def reference_koszul_table(gens, p):
+    """The upper-Koszul table spelled out: the lcm lattice by repeated
+    joins until nothing new appears, each strand's masks from a divisibility
+    test and a per-coordinate scan, and facets by an all-pairs filter."""
+    lattice = set(gens)
+    frontier = list(gens)
+    while frontier:
+        fresh = []
+        for b in frontier:
+            for g in gens:
+                join = tuple(x if x >= y else y for x, y in zip(b, g))
+                if join not in lattice:
+                    lattice.add(join)
+                    fresh.append(join)
+        frontier = fresh
+    table = {}
+    for b in sorted(lattice):
+        masks = set()
+        for g in gens:
+            if all(ge <= be for ge, be in zip(g, b)):
+                mask = 0
+                for i, (ge, be) in enumerate(zip(g, b)):
+                    if be > ge:
+                        mask |= 1 << i
+                masks.add(mask)
+        facets = [mk for mk in masks
+                  if not any(mk != other and mk & other == mk
+                             for other in masks)]
+        common = ~0
+        for mk in facets:
+            common &= mk
+        if common:
+            continue
+        dims = _kernel_py.homology_dims(facets, p)
+        for t, d in enumerate(dims):
+            if d:
+                table[t, sum(b)] = table.get((t, sum(b)), 0) + d
+    return table
+
+
+@st.composite
+def non_squarefree_ideals(draw):
+    n = draw(st.integers(1, 5))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
+                         min_size=1, max_size=6))
+    I = mi(n, *exps)
+    # an exponent of 2 or 3 somewhere, so the ideal is not square-free
+    assume(not is_squarefree(I))
+    return I
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(non_squarefree_ideals(), st.sampled_from([0, 2]))
+def test_koszul_table_matches_the_spelled_out_reference(I, p):
+    gens = I.sorted_gens()
+    assert kernel.koszul_table(gens, p) == reference_koszul_table(gens, p)
 
 
 def test_bench_kernel_runs_from_a_checkout(tmp_path):
