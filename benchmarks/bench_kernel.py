@@ -24,7 +24,6 @@ if str(SRC) not in sys.path:
 
 import vertexsplit
 from vertexsplit import kernel
-from vertexsplit.complexes import complex_of_ideal
 from vertexsplit.corpus import random_complex, random_graph, random_splittable_ideal
 from vertexsplit.graphs import edge_ideal
 from vertexsplit.homology import QQ, hochster_betti, koszul_betti
@@ -66,7 +65,7 @@ def workload_hochster(scale: int):
     def run():
         total = 0
         for ideal in ideals:
-            table = hochster_betti(complex_of_ideal(ideal), QQ)
+            table = hochster_betti(ideal, QQ)
             total += sum(table.entries.values())
         return total
 

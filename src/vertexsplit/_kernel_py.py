@@ -16,14 +16,13 @@ vertices are deleted one at a time until none is left, because two
 vertices can dominate each other.  A core that is a single non-empty
 facet is a point and has zero reduced homology; any other core is passed
 to the rank code, and its result is padded with zeros to the length the
-input would have had.  The reduction runs only on a cache miss, and the
-core's result is cached under its own key as well, in an LRU memo of
-`MEMO_SIZE` entries; the package's three other memos share this bound.
+input would have had.  The reduction runs only on a cache miss.  The LRU
+memo of `MEMO_SIZE` entries, the bound of all four package memos, keys by
+the sorted tuple of support-compressed facet masks; a core gets its own key.
 """
 
 from __future__ import annotations
 
-import struct
 from functools import lru_cache
 
 from .complexes import _max_antichain
@@ -103,17 +102,15 @@ def rank_mod(rows, p: int) -> int:
 
 
 def _canonical_key(facets, p: int) -> tuple:
-    """Cache key: facet masks with the vertex support compressed, so the
-    k-th lowest vertex of the support becomes vertex k."""
+    """Cache key: the sorted tuple of the distinct facet masks with the
+    support compressed, so its k-th lowest vertex becomes vertex k."""
     support = 0
     for f in facets:
         support |= f
     place = {}
-    target = 1
     while support:
         low = support & -support
-        place[low] = target
-        target <<= 1
+        place[low] = 1 << len(place)
         support ^= low
     remapped = set()
     for f in facets:
@@ -123,7 +120,7 @@ def _canonical_key(facets, p: int) -> tuple:
             mask |= place[low]
             f ^= low
         remapped.add(mask)
-    return (b"".join(m.to_bytes(8, "little") for m in sorted(remapped)), p)
+    return tuple(sorted(remapped)), p
 
 
 def _rank(rows, p: int) -> int:
@@ -228,17 +225,16 @@ def homology_dims(facets, p: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _dims_of_key(packed: bytes, p: int) -> tuple[int, ...]:
-    """`homology_dims` of the facets packed in a canonical key."""
-    facets = [m for (m,) in struct.iter_unpack("<Q", packed)]
+def _dims_of_key(facets: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """`homology_dims` of the facet masks of a canonical key."""
     top = max(f.bit_count() for f in facets)
     core = _collapse(facets)
     if len(core) == 1 and core[0]:
         return (0,) * (top + 1)
-    core_packed, _ = _canonical_key(core, p)
-    if core_packed == packed:
+    core_key, _ = _canonical_key(core, p)
+    if core_key == facets:
         return _homology_from_masks(core, p)
-    dims = _dims_of_key(core_packed, p)
+    dims = _dims_of_key(core_key, p)
     return dims + (0,) * (top + 1 - len(dims))
 
 

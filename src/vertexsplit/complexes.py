@@ -217,8 +217,9 @@ def alexander_dual_complex(delta: SimplicialComplex) -> SimplicialComplex:
     full = (1 << n) - 1
     if full in delta.facets:
         raise ValueError("the Alexander dual of the full simplex is void")
-    nonfaces = minimal_nonfaces(delta)
-    return SimplicialComplex(n, _max_antichain(full & ~m for m in nonfaces))
+    # complements of the minimal non-faces, an antichain, are an antichain
+    return SimplicialComplex(
+        n, frozenset(full & ~m for m in minimal_nonfaces(delta)))
 
 
 def dual_facet_ideal(delta: SimplicialComplex) -> MonomialIdeal:

@@ -142,6 +142,9 @@ def random_splittable_ideal(
     generators fail minimality (or exceed max_gens) are rejected and
     redrawn, so the returned pair always validates.
     """
+    if n < 0 or max_gens < 1:
+        raise ValueError(f"no ideal in {n} variables has between 1 and "
+                         f"{max_gens} generators")
     variables = tuple(range(n))
     for _ in range(max_tries):
         try:

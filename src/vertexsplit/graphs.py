@@ -30,6 +30,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"a graph needs n >= 0 vertices, got {self.n}")
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"bad edge ({u}, {v}) for {self.n} vertices")

@@ -17,8 +17,9 @@ from functools import lru_cache
 from . import kernel
 from .betti import BettiTable, make_table
 from .complexes import (SimplicialComplex, complex_of_ideal, dual_facet_ideal,
-                        minimal_nonfaces, restrict_masks)
-from .monomials import Monomial, MonomialIdeal, degree, is_squarefree
+                        restrict_masks)
+from .monomials import (Monomial, MonomialIdeal, degree, is_squarefree,
+                        support_mask)
 
 
 def _is_prime(p: int) -> bool:
@@ -90,33 +91,32 @@ def check_hochster_size(n: int) -> None:
                          f"the limit is {MAX_HOCHSTER_VERTICES} vertices")
 
 
-def hochster_betti(delta: SimplicialComplex,
-                   field: FieldChoice = QQ) -> BettiTable:
-    """Betti table of the Stanley-Reisner ideal of delta.
+def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
+    """Betti table of a nonzero square-free ideal by Hochster's formula.
 
-    beta_{i,j} is the sum over the cardinality-j vertex subsets W of the
-    reduced homology of the restriction to W in degree j - i - 2.  Only the
-    W in the lcm lattice, the unions of minimal non-faces, are restricted.
-    At any other W some vertex lies in no minimal non-face inside W, so the
-    restriction is a cone on it and is acyclic (Gasharov-Peeva-Welker).
-    The lattice can hold 2^n subsets, so it is tested per W, not stored.
+    The supports of I are the minimal non-faces of its Stanley-Reisner complex.
+    beta_{i,j} sums, over the cardinality-j vertex subsets W, the reduced
+    homology of the restriction to W in degree j - i - 2.  Only the W in the
+    lcm lattice, the unions of supports, are restricted: at any other W some
+    vertex lies in no support inside W, so the restriction is a cone on it
+    (Gasharov-Peeva-Welker).  The lattice is tested per W, not stored.
     """
-    n = delta.ground_size
-    full = (1 << n) - 1
-    if full in delta.facets:
-        raise ValueError("the full simplex has zero Stanley-Reisner ideal")
-    check_hochster_size(n)
-    supports = minimal_nonfaces(delta)
+    if I.is_zero:
+        raise ValueError("the zero ideal has an empty resolution; no table")
+    # refuse before building the complex, which can itself be huge
+    check_hochster_size(I.num_vars)
+    facets = complex_of_ideal(I).facets
+    supports = [support_mask(g) for g in I.gens]
     p = field.char
     entries: dict[tuple[int, int], int] = {}
-    for w in range(1, full + 1):
+    for w in range(1, 1 << I.num_vars):
         union = 0
         for g in supports:
             if g & w == g:
                 union |= g
         if union != w:
             continue
-        dims = kernel.homology_dims(restrict_masks(delta.facets, w), p)
+        dims = kernel.homology_dims(restrict_masks(facets, w), p)
         j = w.bit_count()
         for t, d in enumerate(dims):
             i = j - t - 1
@@ -141,9 +141,10 @@ def clear_caches() -> None:
 def betti_table(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     """Canonical oracle table of an ideal (LRU-memoized, `kernel.MEMO_SIZE`).
 
-    Square-free ideals go through the subset-restriction formula, general
-    monomial ideals through the upper Koszul route; the two agree on the
-    overlap and tests enforce that.  The zero ideal has the empty table.
+    Square-free ideals other than the unit ideal go through the
+    subset-restriction formula, all others through the upper Koszul route;
+    the two agree on the overlap and tests enforce that.  The zero ideal
+    has the empty table.
     """
     if I.is_zero:
         return make_table({}, "ideal")
@@ -154,12 +155,8 @@ def betti_table(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
 def _table(n: int, gens: tuple[Monomial, ...], p: int) -> BettiTable:
     """`betti_table` of the nonzero ideal with these sorted generators."""
     I = MonomialIdeal(n, frozenset(gens))
-    if I.is_unit:
-        return make_table({(0, 0): 1}, "ideal")
-    if is_squarefree(I):
-        # refuse before building the complex, which can itself be huge
-        check_hochster_size(n)
-        return hochster_betti(complex_of_ideal(I), FieldChoice(p))
+    if is_squarefree(I) and not I.is_unit:
+        return hochster_betti(I, FieldChoice(p))
     return koszul_betti(I, FieldChoice(p))
 
 

@@ -219,6 +219,27 @@ def test_gen_round_trip(tmp_path, capsys):
     assert out2.read_text() == text
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "splittable-ideal", "--gens", "0"],
+    ["gen", "splittable-ideal", "--vars", "-1"],
+    ["gen", "graph", "--n", "-3"],
+])
+def test_gen_rejects_impossible_sizes(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_betti_rejects_a_negative_vertex_count(tmp_path, capsys):
+    p = tmp_path / "neg.g"
+    p.write_text("n -1\n")
+    assert main(["betti", "--graph", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_gen_graph_and_complex(tmp_path):
     for kind, flags in [("graph", ["--n", "6", "--p", "0.5"]),
                         ("complex", ["--n", "5", "--facets", "4"])]:

@@ -33,6 +33,8 @@ def test_graph_validation():
         Graph(2, frozenset({(0, 0)}))
     with pytest.raises(ValueError):
         Graph(2, frozenset({(0, 5)}))
+    with pytest.raises(ValueError, match="n >= 0"):
+        Graph(-1, frozenset())
 
 
 def test_edge_ideal_examples():

@@ -8,15 +8,16 @@ from conftest import mi, sq, tor_betti
 from vertexsplit import kernel
 from vertexsplit.betti import (BettiTable, format_flat, format_grid,
                                make_table, pd, quotient_table, reg)
-from vertexsplit.complexes import (complex_of_ideal, empty_complex,
-                                   from_facet_masks, from_facets, simplex)
+from vertexsplit.complexes import (from_facet_masks, from_facets, simplex,
+                                   stanley_reisner_ideal)
 from vertexsplit.corpus import all_squarefree_ideals, random_complex
 from vertexsplit.graphs import cycle_graph, edge_ideal
 from vertexsplit.homology import (FieldChoice, QQ, betti_table,
                                   has_linear_resolution, hochster_betti,
                                   is_cohen_macaulay, koszul_betti,
                                   parse_field, reduced_homology_dims)
-from vertexsplit.monomials import MonomialIdeal, mono_from_mask, unit_ideal, zero_ideal
+from vertexsplit.monomials import (MonomialIdeal, mono_from_mask, unit_ideal,
+                                   variable_ideal, zero_ideal)
 
 GF2 = FieldChoice.prime(2)
 GF5 = FieldChoice.prime(5)
@@ -53,22 +54,20 @@ def test_projective_plane_depends_on_characteristic():
 
 
 def test_hochster_examples():
-    assert hochster_betti(complex_of_ideal(mi(2, (1, 1)))).entries == {(0, 2): 1}
-    assert hochster_betti(complex_of_ideal(sq("xy", "yz"))).entries == \
-        {(0, 2): 2, (1, 3): 1}
-    assert hochster_betti(complex_of_ideal(sq("x", "y"))).entries == \
-        {(0, 1): 2, (1, 2): 1}
+    assert hochster_betti(mi(2, (1, 1))).entries == {(0, 2): 1}
+    assert hochster_betti(sq("xy", "yz")).entries == {(0, 2): 2, (1, 3): 1}
+    assert hochster_betti(sq("x", "y")).entries == {(0, 1): 2, (1, 2): 1}
     with pytest.raises(ValueError):
-        hochster_betti(simplex(3))
+        hochster_betti(zero_ideal(3))
     with pytest.raises(ValueError, match="2\\^31 vertex subsets"):
-        hochster_betti(empty_complex(31))
+        hochster_betti(variable_ideal(31, range(31)))
 
 
 def test_koszul_examples():
     assert koszul_betti(mi(2, (2, 0), (1, 1))).entries == {(0, 2): 2, (1, 3): 1}
     assert koszul_betti(mi(3, (1, 1, 1))).entries == {(0, 3): 1}
     I = sq("xy", "yz")
-    assert koszul_betti(I) == hochster_betti(complex_of_ideal(I))
+    assert koszul_betti(I) == hochster_betti(I)
     assert koszul_betti(unit_ideal(3)).entries == {(0, 0): 1}
     with pytest.raises(ValueError):
         koszul_betti(zero_ideal(2))
@@ -86,7 +85,7 @@ def test_oracles_agree_with_independent_tor_oracle():
 def test_hochster_equals_koszul_exhaustive_small():
     for n in range(1, 5):
         for I in all_squarefree_ideals(n):
-            assert hochster_betti(complex_of_ideal(I)) == koszul_betti(I)
+            assert hochster_betti(I) == koszul_betti(I)
 
 
 def test_hochster_equals_koszul_sampled():
@@ -96,7 +95,7 @@ def test_hochster_equals_koszul_sampled():
             delta = random_complex(n, 6, rng)
             I = MonomialIdeal(n, frozenset(
                 mono_from_mask(m, n) for m in delta.facets))
-            assert hochster_betti(complex_of_ideal(I)) == koszul_betti(I)
+            assert hochster_betti(I) == koszul_betti(I)
 
 
 def reference_hochster(delta, p):
@@ -144,7 +143,8 @@ def hochster_inputs(draw):
 @given(hochster_inputs(), st.sampled_from([0, 2]))
 def test_hochster_matches_the_full_subset_loop(delta, p):
     expected = reference_hochster(delta, p)
-    assert hochster_betti(delta, FieldChoice(p)) == expected
+    I = stanley_reisner_ideal(delta)
+    assert hochster_betti(I, FieldChoice(p)) == expected
 
 
 def test_rational_and_mod_p_tables_agree_at_small_scale():

@@ -125,14 +125,14 @@ def test_reduced_homology_equals_unreduced(facets, p):
 
 def reference_key(facets, p):
     """The homology cache key spelled out: the k-th lowest vertex of the
-    support becomes vertex k, and the distinct remapped facets are packed
-    in increasing order as 8-byte little-endian words."""
+    support becomes vertex k, and the distinct remapped facets form a
+    tuple in increasing order."""
     support = sorted({v for f in facets for v in range(f.bit_length())
                       if f >> v & 1})
     rank = {v: k for k, v in enumerate(support)}
     remapped = {sum(1 << rank[v] for v in range(f.bit_length()) if f >> v & 1)
                 for f in facets}
-    return (b"".join(m.to_bytes(8, "little") for m in sorted(remapped)), p)
+    return tuple(sorted(remapped)), p
 
 
 @settings(max_examples=300, deadline=None)
@@ -174,6 +174,16 @@ def test_projective_plane_is_its_own_core():
     _kernel_py.clear_caches()
     assert _kernel_py.homology_dims(RP2_MASKS, 2) == (0, 0, 1, 1)
     assert _kernel_py.homology_dims(RP2_MASKS, 0) == (0, 0, 0, 0)
+
+
+def test_homology_beyond_64_vertices():
+    # cache keys have no word size: a 65-vertex simplex is acyclic, and two
+    # disjoint facets that together span 65 vertices are two components
+    kernel.clear_caches()
+    assert kernel.homology_dims([(1 << 65) - 1], 0) == (0,) * 66
+    low = (1 << 30) - 1
+    dims = kernel.homology_dims([low, ((1 << 65) - 1) ^ low], 0)
+    assert dims == (0, 1) + (0,) * 34
 
 
 def test_core_result_is_padded_to_input_length():

@@ -118,6 +118,16 @@ def test_find_linear_quotients_agrees_with_split_on_corpus():
         assert verify_linear_quotient_order(order, ideal.num_vars)
 
 
+@pytest.mark.parametrize("n, max_gens", [(-1, 12), (4, 0), (4, -2)])
+def test_random_splittable_ideal_rejects_impossible_sizes(n, max_gens):
+    # refused before sampling: the generator state is untouched
+    rng = Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        random_splittable_ideal(n, rng, max_gens=max_gens)
+    assert rng.getstate() == state
+
+
 def test_betti_from_sets_examples():
     order = quotient_order_from_split(vertex_split(sq("xy", "yz")), 3)
     assert betti_from_sets(order).entries == {(0, 2): 2, (1, 3): 1}
