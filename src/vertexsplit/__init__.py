@@ -46,7 +46,11 @@ def clear_caches() -> None:
 
 def cache_info() -> dict:
     """The `functools` `CacheInfo` (hits, misses, bound, size) of each memo
-    table: `homology`, `tables`, `split` and `decomposition`."""
+    table: `homology`, `tables`, `split` and `decomposition`.
+
+    Square-free `tables` are keyed by their labelled generators and by the
+    canonical form up to relabeling, so a table computed for a relabeling
+    of the ideal counts as one miss plus one hit."""
     return {"homology": _kernel_py._dims_of_key.cache_info(),
             "tables": homology._table.cache_info(),
             "split": splitting._split.cache_info(),

@@ -215,6 +215,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for option, value in (("--max-n", args.max_n), ("--count", args.count)):
+        if value is not None and value < 0:
+            raise ParseError(f"{option} must not be negative, got {value}")
     field = _field_from(args)
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     failed = False

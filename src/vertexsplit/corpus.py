@@ -58,11 +58,16 @@ def all_graphs(n: int) -> Iterator[Graph]:
 
 
 def random_graph(n: int, p: float, rng: Random) -> Graph:
+    if not 0 <= p <= 1:
+        raise ValueError(f"the edge probability {p} is not between 0 and 1")
     edges = frozenset(e for e in combinations(range(n), 2) if rng.random() < p)
     return Graph(n, edges)
 
 
 def random_complex(n: int, max_facets: int, rng: Random) -> SimplicialComplex:
+    if n < 1 or max_facets < 1:
+        raise ValueError(f"no complex on {n} vertices has between 1 and "
+                         f"{max_facets} nonempty generating faces")
     count = rng.randint(1, max_facets)
     masks = [rng.randint(1, (1 << n) - 1) for _ in range(count)]
     return from_facet_masks(masks, n)

@@ -18,8 +18,8 @@ from . import kernel
 from .betti import BettiTable, make_table
 from .complexes import (SimplicialComplex, complex_of_ideal, dual_facet_ideal,
                         restrict_masks)
-from .monomials import (Monomial, MonomialIdeal, degree, is_squarefree,
-                        support_mask)
+from .monomials import (Monomial, MonomialIdeal, canonical_supports, degree,
+                        is_squarefree, mono_from_mask, support_mask)
 
 
 def _is_prime(p: int) -> bool:
@@ -144,7 +144,11 @@ def betti_table(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     Square-free ideals other than the unit ideal go through the
     subset-restriction formula, all others through the upper Koszul route;
     the two agree on the overlap and tests enforce that.  The zero ideal
-    has the empty table.
+    has the empty table.  A square-free table is keyed by the canonical
+    form of the generator supports up to relabeling (`canonical_supports`),
+    unless that form is over its search budget; every relabeling then
+    shares one table, and a hit on the class of an ideal not yet seen with
+    its own labels counts as one miss plus one hit in `cache_info`.
     """
     if I.is_zero:
         return make_table({}, "ideal")
@@ -153,11 +157,22 @@ def betti_table(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
 
 @lru_cache(maxsize=kernel.MEMO_SIZE)
 def _table(n: int, gens: tuple[Monomial, ...], p: int) -> BettiTable:
-    """`betti_table` of the nonzero ideal with these sorted generators."""
+    """`betti_table` of the nonzero ideal with these sorted generators.
+
+    Graded Betti numbers do not change when the variables are permuted, so
+    a square-free ideal other than the unit ideal is looked up again under
+    the canonical form of its generator supports, when there is one: all
+    its relabelings share one Hochster table.
+    """
     I = MonomialIdeal(n, frozenset(gens))
-    if is_squarefree(I) and not I.is_unit:
-        return hochster_betti(I, FieldChoice(p))
-    return koszul_betti(I, FieldChoice(p))
+    if not is_squarefree(I) or I.is_unit:
+        return koszul_betti(I, FieldChoice(p))
+    canonical = canonical_supports(support_mask(g) for g in gens)
+    if canonical is not None:
+        canonical_gens = tuple(sorted(mono_from_mask(m, n) for m in canonical))
+        if canonical_gens != gens:
+            return _table(n, canonical_gens, p)
+    return hochster_betti(I, FieldChoice(p))
 
 
 def has_linear_resolution(I: MonomialIdeal, field: FieldChoice = QQ) -> bool:

@@ -223,12 +223,30 @@ def test_gen_round_trip(tmp_path, capsys):
     ["gen", "splittable-ideal", "--gens", "0"],
     ["gen", "splittable-ideal", "--vars", "-1"],
     ["gen", "graph", "--n", "-3"],
+    ["gen", "graph", "--p", "1.5"],
+    ["gen", "complex", "--n", "-3"],
+    ["gen", "complex", "--n", "0"],
+    ["gen", "complex", "--facets", "0"],
 ])
 def test_gen_rejects_impossible_sizes(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "randrange" not in captured.err and "shift" not in captured.err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "betti-agreement", "--count", "-1"], "--count"),
+    (["verify", "froberg", "--max-n", "-1"], "--max-n"),
+    (["verify", "betti-agreement", "--max-n", "-1"], "--max-n"),
+])
+def test_verify_rejects_negative_sizes(argv, option, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert option in captured.err
 
 
 def test_betti_rejects_a_negative_vertex_count(tmp_path, capsys):

@@ -10,7 +10,7 @@ from vertexsplit.complexes import (_max_antichain, alexander_dual_complex,
                                    from_facets, induced_subcomplex, is_pure,
                                    is_simplex, link, minimal_nonfaces,
                                    simplex, stanley_reisner_ideal)
-from vertexsplit.corpus import all_complexes, random_complex
+from vertexsplit.corpus import all_complexes, random_complex, random_graph
 from vertexsplit.decomposition import is_shedding
 from vertexsplit.monomials import (intersect, is_subideal, multiply,
                                    unit_ideal, variable, variable_ideal)
@@ -200,3 +200,19 @@ def _lift(I, x, n):
     from vertexsplit.monomials import MonomialIdeal
     lifted = frozenset(g[:x] + (0,) + g[x:] for g in I.gens)
     return MonomialIdeal(n, lifted)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_complex(-3, 4, rng),
+    lambda rng: random_complex(0, 4, rng),
+    lambda rng: random_complex(5, 0, rng),
+    lambda rng: random_graph(5, 1.5, rng),
+    lambda rng: random_graph(5, -0.1, rng),
+])
+def test_random_generators_reject_impossible_sizes(make):
+    # refused before sampling: the generator state is untouched
+    rng = Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        make(rng)
+    assert rng.getstate() == state

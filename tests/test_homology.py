@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mi, sq, tor_betti
-from vertexsplit import kernel
+from vertexsplit import cache_info, clear_caches, homology, kernel
 from vertexsplit.betti import (BettiTable, format_flat, format_grid,
                                make_table, pd, quotient_table, reg)
 from vertexsplit.complexes import (from_facet_masks, from_facets, simplex,
                                    stanley_reisner_ideal)
 from vertexsplit.corpus import all_squarefree_ideals, random_complex
-from vertexsplit.graphs import cycle_graph, edge_ideal
+from vertexsplit.graphs import cycle_graph, edge_ideal, graph
 from vertexsplit.homology import (FieldChoice, QQ, betti_table,
                                   has_linear_resolution, hochster_betti,
                                   is_cohen_macaulay, koszul_betti,
                                   parse_field, reduced_homology_dims)
-from vertexsplit.monomials import (MonomialIdeal, mono_from_mask, unit_ideal,
-                                   variable_ideal, zero_ideal)
+from vertexsplit.monomials import (MonomialIdeal, canonical_supports,
+                                   minimalize, mono_from_mask, support_mask,
+                                   unit_ideal, variable_ideal, zero_ideal)
 
 GF2 = FieldChoice.prime(2)
 GF5 = FieldChoice.prime(5)
@@ -145,6 +146,63 @@ def test_hochster_matches_the_full_subset_loop(delta, p):
     expected = reference_hochster(delta, p)
     I = stanley_reisner_ideal(delta)
     assert hochster_betti(I, FieldChoice(p)) == expected
+
+
+@st.composite
+def relabelled_ideals(draw):
+    """A square-free ideal on at most 8 variables and a relabeling of it."""
+    n = draw(st.integers(1, 8))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1,
+                          max_size=8))
+    perm = draw(st.permutations(range(n)))
+    I = minimalize((mono_from_mask(m, n) for m in masks), n)
+    J = MonomialIdeal(n, frozenset(tuple(g[perm.index(v)] for v in range(n))
+                                   for g in I.gens))
+    return I, J
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(relabelled_ideals(), st.sampled_from([0, 2]))
+def test_tables_do_not_depend_on_the_labels(ideals, p):
+    I, J = ideals
+    field = FieldChoice(p)
+    clear_caches()
+    table = hochster_betti(I, field)
+    clear_caches()
+    assert hochster_betti(J, field) == table
+    # with warm caches the relabeling may get its class's table
+    assert betti_table(I, field) == table
+    shared = betti_table(J, field)
+    clear_caches()
+    assert shared == hochster_betti(J, field)
+
+
+def test_relabelings_share_one_hochster_table(monkeypatch):
+    calls = []
+
+    def counting(I, field=QQ):
+        calls.append(I)
+        return hochster_betti(I, field)
+
+    monkeypatch.setattr(homology, "hochster_betti", counting)
+    clear_caches()
+    # a path with a pendant edge, and the same graph relabelled
+    G = graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    H = graph(6, [(5, 3), (3, 0), (0, 4), (4, 1), (0, 2)])
+    table = betti_table(edge_ideal(G))
+    before = cache_info()["tables"]
+    assert betti_table(edge_ideal(H)) == table
+    after = cache_info()["tables"]
+    assert len(calls) == 1
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+
+
+def test_tables_past_the_relabeling_budget_keep_the_labelled_key():
+    # the 12-cycle is vertex-transitive: one cell, 12! orderings
+    I = edge_ideal(cycle_graph(12))
+    assert canonical_supports(support_mask(g) for g in I.gens) is None
+    clear_caches()
+    assert betti_table(I) == hochster_betti(I)
 
 
 def test_rational_and_mod_p_tables_agree_at_small_scale():
