@@ -142,10 +142,10 @@ def link(delta: SimplicialComplex, x: int) -> SimplicialComplex:
     """Link of x: faces adjoinable to x, with x removed; x must be a vertex."""
     if not 0 <= x < delta.ground_size:
         raise ValueError(f"vertex {x} out of range")
-    if not delta.is_vertex(x):
-        raise ValueError(f"link undefined: {x} is not a vertex of the complex")
     bit = 1 << x
     kept = [_drop_vertex(f & ~bit, x) for f in delta.facets if f & bit]
+    if not kept:
+        raise ValueError(f"link undefined: {x} is not a vertex of the complex")
     return SimplicialComplex(delta.ground_size - 1, _max_antichain(kept))
 
 

@@ -51,9 +51,13 @@ def is_shedding(delta: SimplicialComplex, x: int) -> bool:
     """
     if not delta.is_vertex(x):
         raise ValueError(f"{x} is not a vertex of the complex")
-    bit = 1 << x
-    others = [f for f in delta.facets if not f & bit]
-    for f in delta.facets:
+    return _sheds(delta.facets, 1 << x)
+
+
+def _sheds(facets: frozenset[int], bit: int) -> bool:
+    """`is_shedding` at the vertex with this bit, unchecked."""
+    others = [f for f in facets if not f & bit]
+    for f in facets:
         if not f & bit:
             continue
         reduced = f & ~bit
@@ -78,8 +82,9 @@ def _decompose(n: int, facets: frozenset[int]) -> Optional[DecompositionTree]:
     delta = SimplicialComplex(n, facets)
     if is_simplex(delta):
         return SimplexLeaf(next(iter(facets)), n)
+    vertices = delta.vertex_mask
     for x in range(n):
-        if not delta.is_vertex(x) or not is_shedding(delta, x):
+        if not vertices >> x & 1 or not _sheds(facets, 1 << x):
             continue
         del_tree = vertex_decomposable(deletion(delta, x))
         if del_tree is None:
@@ -98,7 +103,7 @@ def validate_decomposition_tree(tree: DecompositionTree,
         return (is_simplex(delta) and tree.ground_size == delta.ground_size
                 and tree.facet in delta.facets)
     x = tree.vertex
-    if not delta.is_vertex(x) or not is_shedding(delta, x):
+    if not delta.is_vertex(x) or not _sheds(delta.facets, 1 << x):
         return False
     return (validate_decomposition_tree(tree.deletion, deletion(delta, x))
             and validate_decomposition_tree(tree.link, link(delta, x)))

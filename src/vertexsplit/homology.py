@@ -18,7 +18,7 @@ from . import kernel
 from .betti import BettiTable, make_table
 from .complexes import (SimplicialComplex, complex_of_ideal, dual_facet_ideal,
                         restrict_masks)
-from .monomials import (Monomial, MonomialIdeal, canonical_supports, degree,
+from .monomials import (MonomialIdeal, canonical_supports, degree,
                         is_squarefree, mono_from_mask, support_mask)
 
 
@@ -156,23 +156,26 @@ def betti_table(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
 
 
 @lru_cache(maxsize=kernel.MEMO_SIZE)
-def _table(n: int, gens: tuple[Monomial, ...], p: int) -> BettiTable:
-    """`betti_table` of the nonzero ideal with these sorted generators.
+def _table(n: int, gens: tuple, p: int) -> BettiTable:
+    """`betti_table` of the nonzero ideal with these sorted generators, or
+    of the square-free ideal with this canonical tuple of support masks.
 
     Graded Betti numbers do not change when the variables are permuted, so
     a square-free ideal other than the unit ideal is looked up again under
     the canonical form of its generator supports, when there is one: all
-    its relabelings share one Hochster table.
+    its relabelings share one Hochster table.  The form is computed once
+    per labelled miss; a key of masks is already canonical.
     """
+    if isinstance(gens[0], int):
+        ideal = MonomialIdeal(n, frozenset(mono_from_mask(m, n) for m in gens))
+        return hochster_betti(ideal, FieldChoice(p))
     I = MonomialIdeal(n, frozenset(gens))
     if not is_squarefree(I) or I.is_unit:
         return koszul_betti(I, FieldChoice(p))
     canonical = canonical_supports(support_mask(g) for g in gens)
-    if canonical is not None:
-        canonical_gens = tuple(sorted(mono_from_mask(m, n) for m in canonical))
-        if canonical_gens != gens:
-            return _table(n, canonical_gens, p)
-    return hochster_betti(I, FieldChoice(p))
+    if canonical is None:
+        return hochster_betti(I, FieldChoice(p))
+    return _table(n, canonical, p)
 
 
 def has_linear_resolution(I: MonomialIdeal, field: FieldChoice = QQ) -> bool:

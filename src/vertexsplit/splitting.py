@@ -19,8 +19,9 @@ from .betti import BettiTable, add_shifted, make_table
 from .homology import FieldChoice, QQ, betti_table
 from .kernel import MEMO_SIZE
 from .monomials import (Monomial, MonomialIdeal, colon, degree, divides,
-                        intersect, is_subideal, minimalize, mono_gcd,
-                        mono_div, mono_mul, multiply, variable,
+                        intersect, is_squarefree_monomial, is_subideal,
+                        minimalize, mono_from_mask, mono_gcd, mono_div,
+                        mono_mul, multiply, support_mask, variable,
                         variable_ideal, x_partition)
 
 
@@ -41,6 +42,7 @@ SplitTree = Union[SplitLeaf, SplitNode]
 
 
 def clear_caches() -> None:
+    _split_masks.cache_clear()
     _split.cache_clear()
 
 
@@ -51,15 +53,55 @@ def vertex_split(I: MonomialIdeal) -> Optional[SplitTree]:
     only if it occurs in some generator and never with exponent above one
     (the parts must live in the ring without that variable).  The first
     certificate found is returned; certificates are not canonical.
+
+    Square-free ideals are searched on the support masks of their
+    generators, in the memo that `cache_info()["split"]` reports; only an
+    ideal with a square is searched on exponent tuples, and the square-free
+    parts it splits into go back to the mask search.  Both searches return
+    the same certificate.
     """
-    return _split(I.num_vars, I.gens)
+    return _search(I.num_vars, I.gens)
+
+
+def _search(n: int, gens: frozenset[Monomial]) -> Optional[SplitTree]:
+    """`vertex_split` of the ideal with these minimal generators."""
+    if all(is_squarefree_monomial(g) for g in gens):
+        return _split_masks(n, frozenset(map(support_mask, gens)))
+    return _split(n, gens)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _split_masks(n: int, masks: frozenset[int]) -> Optional[SplitTree]:
+    """`vertex_split` of the square-free ideal whose minimal generators have
+    these supports.  At x the generators with x are the masks m & bit, the
+    factor ideal is generated by m ^ bit, and f divides k iff f & k == f."""
+    if not masks:
+        return SplitLeaf(None)
+    if len(masks) == 1:
+        return SplitLeaf(mono_from_mask(next(iter(masks)), n))
+    support = 0
+    for m in masks:
+        support |= m
+    while support:
+        bit = support & -support
+        support ^= bit
+        factor = frozenset(m ^ bit for m in masks if m & bit)
+        summand = frozenset(m for m in masks if not m & bit)
+        if not all(any(f & k == f for f in factor) for k in summand):
+            continue
+        left = _split_masks(n, factor)
+        if left is None:
+            continue
+        right = _split_masks(n, summand)
+        if right is None:
+            continue
+        return SplitNode(bit.bit_length() - 1, left, right)
+    return None
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _split(n: int, gens: frozenset[Monomial]) -> Optional[SplitTree]:
-    """`vertex_split` of the ideal with these minimal generators."""
-    if not gens:
-        return SplitLeaf(None)
+    """`vertex_split` of an ideal with a square, on exponent tuples."""
     if len(gens) == 1:
         return SplitLeaf(next(iter(gens)))
     I = MonomialIdeal(n, gens)
@@ -71,10 +113,10 @@ def _split(n: int, gens: frozenset[Monomial]) -> Optional[SplitTree]:
         factor = frozenset(mono_div(g, xvar) for g in part_j.gens)
         if not is_subideal(part_k, MonomialIdeal(n, factor)):
             continue
-        left = _split(n, factor)
+        left = _search(n, factor)
         if left is None:
             continue
-        right = _split(n, part_k.gens)
+        right = _search(n, part_k.gens)
         if right is None:
             continue
         return SplitNode(x, left, right)

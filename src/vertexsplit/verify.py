@@ -87,12 +87,19 @@ def suite_duality(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
     return result
 
 
-def _splittable_corpus(count: int, max_vars: int, max_gens: int, seed: int):
-    """Deduplicated stream of (ideal, certificate) pairs."""
+def _splittable_corpus(result: SuiteResult, count: int, max_vars: int,
+                       max_gens: int, seed: int):
+    """Deduplicated stream of (ideal, certificate) pairs, from at most
+    count * 50 draws; fewer than count pairs is a failure of the result."""
+    if max_vars < 2:
+        raise ValueError(f"--max-n must be at least 2 to sample splittable "
+                         f"ideals, got {max_vars}")
     rng = Random(seed)
     seen = set()
     produced = 0
-    while produced < count:
+    attempts = 0
+    while produced < count and attempts < count * 50:
+        attempts += 1
         n = rng.randint(2, max_vars)
         ideal, tree = corpus.random_splittable_ideal(n, rng, max_gens=max_gens)
         key = (ideal.num_vars, ideal.gens)
@@ -101,6 +108,8 @@ def _splittable_corpus(count: int, max_vars: int, max_gens: int, seed: int):
         seen.add(key)
         produced += 1
         yield ideal, tree
+    if produced < count:
+        result.fail(f"only {produced} distinct splittable ideals found")
 
 
 def suite_betti_agreement(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
@@ -109,7 +118,7 @@ def suite_betti_agreement(max_n=None, seed=0, count=None, field=QQ) -> SuiteResu
     max_n = 7 if max_n is None else max_n
     count = 10000 if count is None else count
     result = SuiteResult("betti-agreement")
-    for ideal, tree in _splittable_corpus(count, max_n, 12, seed):
+    for ideal, tree in _splittable_corpus(result, count, max_n, 12, seed):
         oracle = koszul_betti(ideal, field) if not ideal.is_zero else None
         recursive = betti_recursive(tree)
         sets_route = betti_from_sets(quotient_order_from_split(tree, ideal.num_vars))
@@ -128,7 +137,7 @@ def suite_betti_splitting(max_n=None, seed=0, count=None, field=QQ) -> SuiteResu
     count = 10000 if count is None else count
     result = SuiteResult("betti-splitting")
     nodes_checked = 0
-    for ideal, tree in _splittable_corpus(count, max_n, 12, seed):
+    for ideal, tree in _splittable_corpus(result, count, max_n, 12, seed):
         result.checked += 1
         for node, node_ideal in split_nodes(tree, ideal.num_vars):
             # I2 avoids x, so the generators with x are exactly x*I1
@@ -290,7 +299,7 @@ def suite_linear_quotients(max_n=None, seed=0, count=None, field=QQ) -> SuiteRes
     max_n = 6 if max_n is None else max_n
     count = 400 if count is None else count
     result = SuiteResult("linear-quotients")
-    for ideal, tree in _splittable_corpus(count, max_n, 10, seed):
+    for ideal, tree in _splittable_corpus(result, count, max_n, 10, seed):
         result.checked += 1
         order = quotient_order_from_split(tree, ideal.num_vars)
         if not verify_linear_quotient_order(order, ideal.num_vars):

@@ -107,22 +107,26 @@ def test_betti_recursive_mode_skips_the_oracle(tmp_path, capsys):
     assert out == [f"{i} {i + 2} {comb(34, i + 1)}" for i in range(34)]
 
 
+def _cli_env():
+    """The environment for a CLI subprocess that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_a_closed_stdout_is_not_an_error(tmp_path):
     # `betti ... | head -3` once printed "error: [Errno 32] Broken pipe"
     # and exited 2; here the reader is gone before the first write
     p = tmp_path / "star35.g"
     p.write_text("n 35\n" + "".join(f"0 {v}\n" for v in range(1, 35)))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         done = subprocess.run(
             [sys.executable, "-m", "vertexsplit.cli", "betti", "--graph",
              str(p), "--ideal", "edge", "--mode", "sets", "--format", "flat"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
-            timeout=120)
+            stdout=write_end, stderr=subprocess.PIPE, env=_cli_env(),
+            text=True, timeout=120)
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (0, "")
@@ -240,6 +244,9 @@ def test_gen_rejects_impossible_sizes(argv, capsys):
     (["verify", "betti-agreement", "--count", "-1"], "--count"),
     (["verify", "froberg", "--max-n", "-1"], "--max-n"),
     (["verify", "betti-agreement", "--max-n", "-1"], "--max-n"),
+    # splittable ideals are sampled on at least two variables
+    (["verify", "betti-agreement", "--max-n", "1"], "--max-n"),
+    (["verify", "linear-quotients", "--max-n", "0"], "--max-n"),
 ])
 def test_verify_rejects_negative_sizes(argv, option, capsys):
     assert main(argv) == 2
@@ -247,6 +254,21 @@ def test_verify_rejects_negative_sizes(argv, option, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert option in captured.err
+    assert "randrange" not in captured.err
+
+
+@pytest.mark.parametrize("suite", ["betti-agreement", "betti-splitting",
+                                   "linear-quotients"])
+def test_verify_reports_a_splittable_shortfall(suite):
+    # two variables carry fewer than 50 distinct sampled splittable ideals;
+    # the draws are capped, so the suite fails instead of drawing forever
+    done = subprocess.run(
+        [sys.executable, "-m", "vertexsplit.cli", "verify", suite,
+         "--max-n", "2", "--count", "50"],
+        capture_output=True, env=_cli_env(), text=True, timeout=20)
+    assert done.returncode == 1 and done.stderr == ""
+    assert done.stdout.startswith(f"{suite}: FAIL")
+    assert "distinct splittable ideals found" in done.stdout
 
 
 def test_betti_rejects_a_negative_vertex_count(tmp_path, capsys):

@@ -4,11 +4,13 @@ from random import Random
 import pytest
 
 from conftest import mi, sq, tor_betti
-from vertexsplit.corpus import random_splittable_ideal
+from vertexsplit import clear_caches
+from vertexsplit.corpus import all_squarefree_ideals, random_splittable_ideal
 from vertexsplit.homology import betti_table, koszul_betti
 from vertexsplit.monomials import (MonomialIdeal, divides, intersect,
-                                   is_subideal, minimalize, multiply,
-                                   unit_ideal, variable, zero_ideal)
+                                   is_subideal, minimalize, mono_div,
+                                   mono_from_mask, multiply, unit_ideal,
+                                   variable, x_partition, zero_ideal)
 from vertexsplit.splitting import (InvalidSplitTree, LinearQuotientOrder,
                                    SplitLeaf, SplitNode, betti_from_sets,
                                    betti_recursive, find_linear_quotients,
@@ -49,6 +51,66 @@ def test_vertex_split_skips_high_exponents():
     tree = vertex_split(I)
     assert isinstance(tree, SplitNode) and tree.var == 1
     assert validate_split_tree(tree, I)
+
+
+def reference_split(I, memo):
+    """The exponent-tuple search spelled out: variables in ascending order,
+    each qualifying when it occurs and never squared, the first certificate
+    wins; memo maps (n, generators) to a found certificate or None."""
+    n, gens = I.num_vars, I.gens
+    if (n, gens) in memo:
+        return memo[n, gens]
+    if len(gens) <= 1:
+        return SplitLeaf(next(iter(gens), None))
+    found = None
+    for x in range(n):
+        if max(g[x] for g in gens) != 1:
+            continue
+        part_j, part_k = x_partition(I, x)
+        factor = MonomialIdeal(n, frozenset(
+            mono_div(g, variable(n, x)) for g in part_j.gens))
+        if not is_subideal(part_k, factor):
+            continue
+        left = reference_split(factor, memo)
+        right = None if left is None else reference_split(part_k, memo)
+        if right is not None:
+            found = SplitNode(x, left, right)
+            break
+    memo[n, gens] = found
+    return found
+
+
+def test_vertex_split_returns_the_exponent_tuple_certificate():
+    # square-free ideals take the mask search, ideals with a square the
+    # tuple search, and their square-free parts the mask search again
+    rng = Random(31)
+    ideals = [zero_ideal(n) for n in range(4)]
+    ideals += [unit_ideal(n) for n in range(4)]
+    for n in range(1, 6):
+        ideals += all_squarefree_ideals(n)
+    for _ in range(300):
+        n = rng.randint(6, 8)
+        # masks over all n variables leave some unused: ghost variables
+        masks = [rng.getrandbits(n) for _ in range(rng.randint(1, 9))]
+        ideals.append(minimalize((mono_from_mask(m, n) for m in masks), n))
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        ideals.append(minimalize(
+            (tuple(rng.choice((0, 0, 1, 1, 2)) for _ in range(n))
+             for _ in range(rng.randint(1, 6))), n))
+        ideals.append(random_splittable_ideal(n, rng, max_gens=8)[0])
+    clear_caches()
+    memo = {}
+    outcomes = Counter()
+    for I in ideals:
+        tree = vertex_split(I)
+        want = reference_split(I, memo)
+        assert tree == want and repr(tree) == repr(want), I
+        if tree is not None:
+            assert validate_split_tree(tree, I)
+        outcomes[isinstance(tree, SplitNode), tree is None] += 1
+    # leaves, inner nodes and failures all occur
+    assert len(outcomes) == 3
 
 
 def test_validate_rejects_corrupted_trees():
