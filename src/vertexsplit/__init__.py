@@ -50,11 +50,8 @@ def cache_info() -> dict:
 
     Square-free `tables` are keyed by their labelled generators and by the
     canonical form up to relabeling, so a table computed for a relabeling
-    of the ideal counts as one miss plus one hit.  `split` is the memo of
-    the search on generator support masks, which every square-free ideal
-    takes; the exponent-tuple search of ideals with a square has a memo of
-    its own, which `clear_caches` empties too."""
+    of the ideal counts as one miss plus one hit."""
     return {"homology": _kernel_py._dims_of_key.cache_info(),
             "tables": homology._table.cache_info(),
-            "split": splitting._split_masks.cache_info(),
+            "split": splitting._split.cache_info(),
             "decomposition": decomposition._decompose.cache_info()}

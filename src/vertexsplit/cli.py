@@ -27,8 +27,8 @@ from .formats import (ParseError, default_names, format_complex,
 from .graphs import (complement, cover_ideal, domination_shedding,
                      dual_complex_equivalence, edge_ideal, froberg_equivalence,
                      is_bipartite, is_chordal, is_scm_bipartite)
-from .homology import (QQ, FieldChoice, betti_table, check_hochster_size,
-                       is_cohen_macaulay, parse_field)
+from .homology import (betti_table, check_hochster_size, is_cohen_macaulay,
+                       parse_field)
 from .monomials import is_squarefree
 from .splitting import (betti_from_sets, betti_recursive,
                         find_linear_quotients, quotient_order_from_split,
@@ -36,11 +36,6 @@ from .splitting import (betti_from_sets, betti_recursive,
 
 USAGE_ERROR = 2
 VIOLATION = 1
-
-
-def _field_from(args) -> FieldChoice:
-    spec = getattr(args, "field", None) or os.environ.get("VERTEXSPLIT_FIELD")
-    return parse_field(spec) if spec else QQ
 
 
 def _read(path: str) -> str:
@@ -74,7 +69,7 @@ def _render_table(table, fmt: str) -> str:
 
 
 def cmd_betti(args) -> int:
-    field = _field_from(args)
+    field = parse_field(args.field)
     ideal, names = _load_ideal_for_betti(args)
     tree = None
     if args.mode in ("recursive", "sets") or args.check:
@@ -184,7 +179,7 @@ def _classify_graph(G, names, args, field) -> None:
 
 
 def cmd_classify(args) -> int:
-    field = _field_from(args)
+    field = parse_field(args.field)
     given = [opt for opt in ("ideal", "complex", "graph")
              if getattr(args, opt)]
     if len(given) != 1:
@@ -218,7 +213,7 @@ def cmd_verify(args) -> int:
     for option, value in (("--max-n", args.max_n), ("--count", args.count)):
         if value is not None and value < 0:
             raise ParseError(f"{option} must not be negative, got {value}")
-    field = _field_from(args)
+    field = parse_field(args.field)
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:

@@ -224,10 +224,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return unit_monomial(self.num_vars) in self.gens
 
-    @property
-    def is_principal(self) -> bool:
-        return len(self.gens) <= 1
-
     def sorted_gens(self) -> list[Monomial]:
         return sorted(self.gens)
 

@@ -6,6 +6,10 @@ I = x*I1 + I2 with I2 contained in I1 and neither part involving x; leaves
 are principal ideals (possibly the unit ideal) or the zero ideal.  By
 convention the zero ideal is splittable: ideals like (xy, yz) split at y
 into y*(x, z) + 0, so the convention is forced by the edge-ideal corollas.
+
+One search serves every monomial ideal: each generator becomes an integer
+with a bit per exponent level, as in polarization, so divisibility is a
+subset test and a square-free generator's integer is its support mask.
 """
 
 from __future__ import annotations
@@ -13,16 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import add, lshift
 from typing import Optional, Union
 
 from .betti import BettiTable, add_shifted, make_table
 from .homology import FieldChoice, QQ, betti_table
 from .kernel import MEMO_SIZE
 from .monomials import (Monomial, MonomialIdeal, colon, degree, divides,
-                        intersect, is_squarefree_monomial, is_subideal,
-                        minimalize, mono_from_mask, mono_gcd, mono_div,
-                        mono_mul, multiply, support_mask, variable,
-                        variable_ideal, x_partition)
+                        intersect, is_subideal, minimalize, mono_from_mask,
+                        mono_gcd, mono_div, mono_mul, multiply, variable,
+                        variable_ideal)
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,6 @@ SplitTree = Union[SplitLeaf, SplitNode]
 
 
 def clear_caches() -> None:
-    _split_masks.cache_clear()
     _split.cache_clear()
 
 
@@ -54,73 +57,78 @@ def vertex_split(I: MonomialIdeal) -> Optional[SplitTree]:
     (the parts must live in the ring without that variable).  The first
     certificate found is returned; certificates are not canonical.
 
-    Square-free ideals are searched on the support masks of their
-    generators, in the memo that `cache_info()["split"]` reports; only an
-    ideal with a square is searched on exponent tuples, and the square-free
-    parts it splits into go back to the mask search.  Both searches return
-    the same certificate.
+    Each exponent is replaced by its rank among its variable's exponents,
+    0 and 1 always among them, which keeps every comparison, so the
+    certificate is the same and x^1048576 costs two bits.  `_split`, the
+    memo `cache_info()["split"]` reports, searches the stacked masks of the
+    ranks; only a tree whose ranks differ from its exponents has its leaves
+    mapped back.
     """
-    return _search(I.num_vars, I.gens)
-
-
-def _search(n: int, gens: frozenset[Monomial]) -> Optional[SplitTree]:
-    """`vertex_split` of the ideal with these minimal generators."""
-    if all(is_squarefree_monomial(g) for g in gens):
-        return _split_masks(n, frozenset(map(support_mask, gens)))
-    return _split(n, gens)
+    n, gens = I.num_vars, I.gens
+    values = None
+    if n and gens and max(map(max, gens)) > 1:
+        values = [sorted({0, 1, *column}) for column in zip(*gens)]
+        # rank r of variable i becomes r bits, n apart, shifted by i below
+        codes = [{e: sum(1 << k * n for k in range(r))
+                  for r, e in enumerate(v)} for v in values]
+        gens = [tuple(map(dict.__getitem__, codes, g)) for g in gens]
+    tree = _split(n, frozenset(sum(map(lshift, g, range(n))) for g in gens))
+    if tree is None or values is None or all(v[-1] < len(v) for v in values):
+        return tree
+    return _unrank(tree, values)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _split_masks(n: int, masks: frozenset[int]) -> Optional[SplitTree]:
-    """`vertex_split` of the square-free ideal whose minimal generators have
-    these supports.  At x the generators with x are the masks m & bit, the
-    factor ideal is generated by m ^ bit, and f divides k iff f & k == f."""
+def _split(n: int, masks: frozenset[int]) -> Optional[SplitTree]:
+    """`vertex_split` of the ideal whose minimal generators have these
+    stacked masks: bit i + k*n is set when variable i has rank above k, so
+    f divides g iff f & g == f, and x qualifies iff bit x is set in some
+    mask and bit x + n in none.  At x the generators with x are the masks
+    m & bit, and the factor ideal is generated by m ^ bit.  Leaves hold the
+    ranks that their masks encode."""
     if not masks:
         return SplitLeaf(None)
     if len(masks) == 1:
-        return SplitLeaf(mono_from_mask(next(iter(masks)), n))
-    support = 0
+        return SplitLeaf(_ranks(next(iter(masks)), n))
+    union = 0
     for m in masks:
-        support |= m
-    while support:
-        bit = support & -support
-        support ^= bit
+        union |= m
+    candidates = union & ~(union >> n) & ((1 << n) - 1)
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
         factor = frozenset(m ^ bit for m in masks if m & bit)
         summand = frozenset(m for m in masks if not m & bit)
         if not all(any(f & k == f for f in factor) for k in summand):
             continue
-        left = _split_masks(n, factor)
+        left = _split(n, factor)
         if left is None:
             continue
-        right = _split_masks(n, summand)
+        right = _split(n, summand)
         if right is None:
             continue
         return SplitNode(bit.bit_length() - 1, left, right)
     return None
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _split(n: int, gens: frozenset[Monomial]) -> Optional[SplitTree]:
-    """`vertex_split` of an ideal with a square, on exponent tuples."""
-    if len(gens) == 1:
-        return SplitLeaf(next(iter(gens)))
-    I = MonomialIdeal(n, gens)
-    for x in range(n):
-        if max(g[x] for g in gens) != 1:
-            continue
-        part_j, part_k = x_partition(I, x)
-        xvar = variable(n, x)
-        factor = frozenset(mono_div(g, xvar) for g in part_j.gens)
-        if not is_subideal(part_k, MonomialIdeal(n, factor)):
-            continue
-        left = _search(n, factor)
-        if left is None:
-            continue
-        right = _search(n, part_k.gens)
-        if right is None:
-            continue
-        return SplitNode(x, left, right)
-    return None
+def _ranks(mask: int, n: int) -> Monomial:
+    """The exponent ranks that a stacked mask encodes."""
+    low = (1 << n) - 1
+    ranks = mono_from_mask(mask & low, n)
+    while mask := mask >> n:
+        ranks = tuple(map(add, ranks, mono_from_mask(mask & low, n)))
+    return ranks
+
+
+def _unrank(tree: SplitTree, values: list[list[int]]) -> SplitTree:
+    """The tree with the ranks of each leaf mapped back to the exponents:
+    rank r of variable i is values[i][r]."""
+    if isinstance(tree, SplitNode):
+        return SplitNode(tree.var, _unrank(tree.left, values),
+                         _unrank(tree.right, values))
+    if tree.monomial is None:
+        return tree
+    return SplitLeaf(tuple(map(list.__getitem__, values, tree.monomial)))
 
 
 class InvalidSplitTree(ValueError):

@@ -197,9 +197,9 @@ def suite_pd_bight(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
         result.checked += 1
         if not check_pd_equals_bight(delta, field):
             result.fail(f"{delta!r}: oracle pd != bight {bight(delta)}")
+    note = f"{non_vd_gap} non-decomposable complexes where pd != bight"
     result.notes.append(
-        f"{non_vd_gap} non-decomposable complexes where pd != bight "
-        "(the check is not vacuous)")
+        f"{note} (the check is not vacuous)" if non_vd_gap else note)
     return result
 
 

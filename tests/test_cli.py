@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from test_kernel import RP2_MASKS
 from vertexsplit import cli
 from vertexsplit.cli import main
 
@@ -157,6 +158,52 @@ def test_classify_ideal(files, tmp_path, capsys):
     assert "linear quotients: yes" in out
 
 
+THIRTY = " ".join(f"x{i}" for i in range(30))
+
+
+def _power(i):
+    return f"x28^{2 ** (i % 3 + 1)}*x29^1048576"
+
+
+def _huge_splittable():
+    """x_i * x28^(2, 4 or 8) * x29^1048576 for i < 12, and the stdout of
+    `classify`: x0, x3, x6 and x9 split off first, over x28^2."""
+    gens = [f"x{i}*{_power(i)}" for i in range(12)]
+    order = [0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11]
+    tree = gens[11]
+    for i in reversed(order[:-1]):
+        tree = f"(x{i}: {_power(i)} | {tree})"
+    steps = " < ".join(
+        f"{gens[i]} {{{','.join(f'x{j}' for j in sorted(order[:t]))}}}"
+        for t, i in enumerate(order))
+    return gens, (f"generators: 12\nsquare-free: no\n"
+                  f"vertex splittable: yes; certificate {tree}\n"
+                  f"linear quotients: yes; order {steps}\n")
+
+
+def _huge_unsplittable():
+    """Ten generators on disjoint variables: at each candidate variable the
+    other nine lie outside the factor ideal."""
+    gens = [f"x{3 * i}^1048576*x{3 * i + 1}*x{3 * i + 2}^7"
+            for i in range(10)]
+    return gens, ("generators: 10\nsquare-free: no\n"
+                  "vertex splittable: no\nlinear quotients: no\n")
+
+
+@pytest.mark.parametrize("make", [_huge_splittable, _huge_unsplittable])
+def test_classify_ideal_with_huge_exponents(tmp_path, make):
+    # the split search ranks exponents, so x^1048576 costs one bit more
+    # than x, where one bit per unit of exponent would be 30M bits
+    gens, want = make()
+    p = tmp_path / "huge.ideal"
+    p.write_text(f"kind: ideal\nvars: {THIRTY}\n" + "\n".join(gens) + "\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "vertexsplit.cli", "classify", "--ideal",
+         str(p)], capture_output=True, env=_cli_env(), text=True, timeout=20)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"variables: {THIRTY}\n" + want
+
+
 def test_classify_complex(files, capsys):
     assert main(["classify", "--complex", files["xz_y.cx"]]) == 0
     out = capsys.readouterr().out
@@ -204,6 +251,31 @@ def test_verify_reports_are_deterministic(capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_the_environment_does_not_choose_the_field(
+        tmp_path, monkeypatch, capsys):
+    # RP^2 has two-torsion: its table has 3 entries over QQ and 5 over GF(2)
+    p = tmp_path / "rp2.cx"
+    p.write_text("kind: complex\nvertices: a b c d e f\n" + "".join(
+        ",".join("abcdef"[v] for v in range(6) if f >> v & 1) + "\n"
+        for f in RP2_MASKS))
+    args = ["betti", "--complex", str(p), "--format", "flat"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert len(plain.splitlines()) == 3
+    monkeypatch.setenv("VERTEXSPLIT_FIELD", "2")
+    assert main(args) == 0
+    assert capsys.readouterr().out == plain
+    assert main(args + ["--field", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+
+
+def test_pd_bight_makes_no_claim_on_a_zero_count(capsys):
+    assert main(["verify", "pd-bight", "--max-n", "2", "--count", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "0 non-decomposable complexes where pd != bight\n" in out
+    assert "vacuous" not in out
 
 
 def test_gen_round_trip(tmp_path, capsys):

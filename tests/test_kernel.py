@@ -74,6 +74,12 @@ def test_kernel_caches_clear():
     # the package-level reset empties all four
     vertexsplit.clear_caches()
     assert all(c.currsize == 0 for c in vertexsplit.cache_info().values())
+    # an ideal with a square is searched in the same memo, so a second
+    # search of it is a hit
+    square = mi(3, (2, 0, 0), (1, 1, 0), (0, 1, 1))
+    vertexsplit.vertex_split(square)
+    vertexsplit.vertex_split(square)
+    assert vertexsplit.cache_info()["split"].hits == 1
 
 
 def test_a_collapsing_miss_counts_as_a_miss():

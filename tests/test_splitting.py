@@ -7,8 +7,8 @@ from conftest import mi, sq, tor_betti
 from vertexsplit import clear_caches
 from vertexsplit.corpus import all_squarefree_ideals, random_splittable_ideal
 from vertexsplit.homology import betti_table, koszul_betti
-from vertexsplit.monomials import (MonomialIdeal, divides, intersect,
-                                   is_subideal, minimalize, mono_div,
+from vertexsplit.monomials import (MAX_EXPONENT, MonomialIdeal, divides,
+                                   intersect, is_subideal, minimalize, mono_div,
                                    mono_from_mask, multiply, unit_ideal,
                                    variable, x_partition, zero_ideal)
 from vertexsplit.splitting import (InvalidSplitTree, LinearQuotientOrder,
@@ -81,8 +81,9 @@ def reference_split(I, memo):
 
 
 def test_vertex_split_returns_the_exponent_tuple_certificate():
-    # square-free ideals take the mask search, ideals with a square the
-    # tuple search, and their square-free parts the mask search again
+    # one search on stacked masks takes every ideal: square-free ones,
+    # ideals with a square, and ideals whose exponent sets have gaps, which
+    # it ranks first
     rng = Random(31)
     ideals = [zero_ideal(n) for n in range(4)]
     ideals += [unit_ideal(n) for n in range(4)]
@@ -99,6 +100,19 @@ def test_vertex_split_returns_the_exponent_tuple_certificate():
             (tuple(rng.choice((0, 0, 1, 1, 2)) for _ in range(n))
              for _ in range(rng.randint(1, 6))), n))
         ideals.append(random_splittable_ideal(n, rng, max_gens=8)[0])
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        values = [rng.choice(((0, 2), (0, 3, 7), (0, 1, MAX_EXPONENT)))
+                  for _ in range(n)]
+        ideals.append(minimalize(
+            (tuple(map(rng.choice, values)) for _ in range(rng.randint(1, 6))),
+            n))
+    # a rank that left out 1 would make x^2 an x and split (x^2y, x^2z) at x
+    gapped = mi(3, (2, 1, 0), (2, 0, 1))
+    assert vertex_split(gapped) == SplitNode(
+        1, SplitLeaf((2, 0, 0)), SplitLeaf((2, 0, 1)))
+    ideals += [gapped, mi(3, (3, 1, 0), (7, 0, 1)),
+               mi(3, (MAX_EXPONENT, 1, 0), (1, 0, 1))]
     clear_caches()
     memo = {}
     outcomes = Counter()
