@@ -7,6 +7,14 @@ arbitrary monomial ideals.  Everything downstream (linear resolutions,
 Cohen-Macaulayness, regularity, projective dimension) reads off these
 tables.  All ranks are exact: fraction-free integer elimination over the
 rationals, modular elimination over prime fields.
+
+Edge ideals take a graph route through the subset-restriction formula:
+their Stanley-Reisner complex is the independence complex Ind(G), and its
+restriction to W is Ind(G[W]).  Each G[W] is shrunk by the fold lemma
+(Engstrom, "Independence complexes of claw-free graphs", 2008) with bit
+operations on adjacency masks, before any facet exists, and the homology
+of each core is memoized by the core graph (`_flag_dims`, an LRU memo of
+`kernel.MEMO_SIZE` entries reported as `cache_info()["flag"]`).
 """
 
 from __future__ import annotations
@@ -19,7 +27,8 @@ from .betti import BettiTable, make_table
 from .complexes import (SimplicialComplex, complex_of_ideal, dual_facet_ideal,
                         restrict_masks)
 from .monomials import (MonomialIdeal, canonical_supports, degree,
-                        is_squarefree, mono_from_mask, support_mask)
+                        is_squarefree, minimal_transversals, mono_from_mask,
+                        support_mask)
 
 
 def _is_prime(p: int) -> bool:
@@ -99,30 +108,158 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     homology of the restriction to W in degree j - i - 2.  Only the W in the
     lcm lattice, the unions of supports, are restricted: at any other W some
     vertex lies in no support inside W, so the restriction is a cone on it
-    (Gasharov-Peeva-Welker).  The lattice is tested per W, not stored.
+    (Gasharov-Peeva-Welker).  W runs over the subsets of the union of all
+    supports, and the lattice is tested per W, not stored.
+
+    An edge ideal, every generator of degree two, takes the graph route:
+    the restriction to W is the independence complex Ind(G[W]), and W is in
+    the lattice iff every vertex of W has a neighbour in W.  G[W] is folded
+    first (`_fold`); a core of one vertex is a point, and any other core
+    has its homology looked up by its support-compressed adjacency rows in
+    the LRU memo `_flag_dims`, whose misses build the facets of the core's
+    independence complex.  Every other ideal restricts the facets of its
+    Stanley-Reisner complex.
     """
     if I.is_zero:
         raise ValueError("the zero ideal has an empty resolution; no table")
     # refuse before building the complex, which can itself be huge
     check_hochster_size(I.num_vars)
-    facets = complex_of_ideal(I).facets
     supports = [support_mask(g) for g in I.gens]
-    p = field.char
+    if is_squarefree(I) and all(s.bit_count() == 2 for s in supports):
+        restriction = _graph_restriction(supports, field.char)
+    else:
+        restriction = _facet_restriction(complex_of_ideal(I).facets,
+                                         supports, field.char)
+    union = 0
+    for g in supports:
+        union |= g
     entries: dict[tuple[int, int], int] = {}
-    for w in range(1, 1 << I.num_vars):
+    w = 0
+    # the non-empty submasks of the union, in increasing order
+    while w := (w - union) & union:
+        j = w.bit_count()
+        for t, d in enumerate(restriction(w)):
+            i = j - t - 1
+            if d and i >= 0:
+                entries[i, j] = entries.get((i, j), 0) + d
+    return make_table(entries, "ideal")
+
+
+def _facet_restriction(facets, supports: list[int], p: int):
+    """Reduced homology dims of the restriction of the complex with these
+    facets to W, or () when W is not a union of supports."""
+    def dims(w: int) -> tuple[int, ...]:
         union = 0
         for g in supports:
             if g & w == g:
                 union |= g
         if union != w:
-            continue
-        dims = kernel.homology_dims(restrict_masks(facets, w), p)
-        j = w.bit_count()
-        for t, d in enumerate(dims):
-            i = j - t - 1
-            if d and i >= 0:
-                entries[i, j] = entries.get((i, j), 0) + d
-    return make_table(entries, "ideal")
+            return ()
+        return kernel.homology_dims(restrict_masks(facets, w), p)
+    return dims
+
+
+def _adjacency(edges) -> dict[int, int]:
+    """Neighbour mask of each vertex of the edge masks, keyed by its bit."""
+    adj: dict[int, int] = {}
+    for e in edges:
+        u = e & -e
+        v = e ^ u
+        adj[u] = adj.get(u, 0) | v
+        adj[v] = adj.get(v, 0) | u
+    return adj
+
+
+def _fold(adj: dict[int, int], w: int) -> int:
+    """Vertex mask of a fold core of the induced graph G[W], for W inside
+    the union of the edges.
+
+    The fold lemma (Engstrom, "Independence complexes of claw-free graphs",
+    2008): if N(u) is inside N(v) for u != v, then Ind(G) and Ind(G - v)
+    are homotopy equivalent.  Such a v is never adjacent to u, so deleting
+    it leaves N(u) alone, and every such v of one u, all vertices adjacent
+    to every neighbour of u, goes at once.  Sweeps repeat until one deletes
+    nothing.  A vertex with no neighbour folds away all the others: a core
+    of one vertex is a point.
+    """
+    core = w
+    changed = True
+    while changed:
+        changed = False
+        rest = core
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            common = core
+            nbrs = adj[u] & core
+            while nbrs:
+                x = nbrs & -nbrs
+                nbrs ^= x
+                common &= adj[x]
+            common ^= u
+            if common:
+                core ^= common
+                rest &= core
+                changed = True
+    return core
+
+
+def _graph_restriction(edges: list[int], p: int):
+    """Reduced homology dims of Ind(G[W]) for the graph with these edge
+    masks, or () when W is not a union of edges or G[W] folds to a point.
+
+    Many W fold to the same core, so each call's cores are also kept in a
+    dict by vertex mask; it saves compressing the core again."""
+    adj = _adjacency(edges)
+    seen: dict[int, tuple[int, ...]] = {}
+
+    def dims(w: int) -> tuple[int, ...]:
+        rest = w
+        while rest:
+            v = rest & -rest
+            if not adj[v] & w:
+                return ()
+            rest ^= v
+        core = _fold(adj, w)
+        if not core & (core - 1):
+            return ()
+        if core not in seen:
+            seen[core] = _flag_dims(_compressed(adj, core), p)
+        return seen[core]
+    return dims
+
+
+def _compressed(adj: dict[int, int], core: int) -> tuple[int, ...]:
+    """Neighbour masks of G[core] with its k-th lowest vertex as vertex k."""
+    place = {}
+    rest = core
+    while rest:
+        low = rest & -rest
+        place[low] = 1 << len(place)
+        rest ^= low
+    rows = []
+    for v in place:
+        nbrs = adj[v] & core
+        row = 0
+        while nbrs:
+            x = nbrs & -nbrs
+            row |= place[x]
+            nbrs ^= x
+        rows.append(row)
+    return tuple(rows)
+
+
+@lru_cache(maxsize=kernel.MEMO_SIZE)
+def _flag_dims(rows: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Reduced homology dims of Ind(G) for the graph G on 0..k-1 whose
+    vertex v has neighbour mask rows[v]; its facets, the maximal
+    independent sets, are the complements of the minimal vertex covers."""
+    k = len(rows)
+    edges = [1 << u | 1 << v for u in range(k) for v in range(u + 1, k)
+             if rows[u] >> v & 1]
+    full = (1 << k) - 1
+    return kernel.homology_dims(
+        [full & ~t for t in minimal_transversals(edges)], p)
 
 
 def koszul_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
@@ -135,6 +272,7 @@ def koszul_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
 
 def clear_caches() -> None:
     _table.cache_clear()
+    _flag_dims.cache_clear()
     kernel.clear_caches()
 
 

@@ -1,4 +1,6 @@
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from random import Random
 
 import pytest
@@ -8,10 +10,12 @@ from conftest import mi, sq, tor_betti
 from vertexsplit import cache_info, clear_caches, homology, kernel
 from vertexsplit.betti import (BettiTable, format_flat, format_grid,
                                make_table, pd, quotient_table, reg)
-from vertexsplit.complexes import (from_facet_masks, from_facets, simplex,
+from vertexsplit.complexes import (complex_of_ideal, from_facet_masks,
+                                   from_facets, restrict_masks, simplex,
                                    stanley_reisner_ideal)
 from vertexsplit.corpus import all_squarefree_ideals, random_complex
-from vertexsplit.graphs import cycle_graph, edge_ideal, graph
+from vertexsplit.graphs import (cycle_graph, delete_vertices, edge_ideal,
+                                graph, independence_complex, path_graph)
 from vertexsplit.homology import (FieldChoice, QQ, betti_table,
                                   has_linear_resolution, hochster_betti,
                                   is_cohen_macaulay, koszul_betti,
@@ -195,6 +199,102 @@ def test_relabelings_share_one_hochster_table(monkeypatch):
     after = cache_info()["tables"]
     assert len(calls) == 1
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+
+
+def reference_edge_hochster(I, p):
+    """The facet route spelled out for a square-free ideal: the
+    Stanley-Reisner facets restricted to each W that is a union of
+    generator supports, with the kernel's homology."""
+    facets = complex_of_ideal(I).facets
+    supports = [support_mask(g) for g in I.gens]
+    entries = {}
+    for w in range(1, 1 << I.num_vars):
+        if w != reduce(or_, (g for g in supports if g & w == g), 0):
+            continue
+        j = w.bit_count()
+        dims = kernel.homology_dims(restrict_masks(facets, w), p)
+        for t, d in enumerate(dims):
+            i = j - t - 1
+            if d and i >= 0:
+                entries[i, j] = entries.get((i, j), 0) + d
+    return make_table(entries, "ideal")
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on at most 10 vertices with at least one edge; vertices on
+    no edge are ghost variables of its edge ideal."""
+    n = draw(st.integers(2, 10))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5, 0.7, 0.9]))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+    return graph(n, edges or [(0, 1)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_graphs(), st.sampled_from([0, 2]))
+def test_edge_ideals_fold_to_the_facet_route_table(G, p):
+    I = edge_ideal(G)
+    field = FieldChoice(p)
+    table = hochster_betti(I, field)
+    assert table == reference_edge_hochster(I, p)
+    # the Koszul route is independent, but slow past eight variables
+    if G.n <= 8:
+        assert table == koszul_betti(I, field)
+
+
+def fold_core(G):
+    """The fold core of a graph with no isolated vertex, as an induced
+    subgraph, with its vertex mask."""
+    adj = homology._adjacency(1 << u | 1 << v for u, v in G.edges)
+    core = homology._fold(adj, (1 << G.n) - 1)
+    return core, delete_vertices(
+        G, [v for v in range(G.n) if not core >> v & 1])
+
+
+def nonzero_homology(G):
+    dims = reduced_homology_dims(independence_complex(G))
+    return {k: d for k, d in dims.items() if d}
+
+
+def test_cycles_keep_their_core():
+    # no neighbourhood of a cycle on five or more vertices lies inside
+    # another: Ind(C5) is a circle and Ind(C6) a wedge of two
+    for n, homology_of_core in ((5, {1: 1}), (6, {1: 2})):
+        G = cycle_graph(n)
+        core, _ = fold_core(G)
+        assert core == (1 << n) - 1
+        assert nonzero_homology(G) == homology_of_core
+
+
+def test_paths_fold_to_a_point_or_a_matching():
+    # P3 folds to one edge, P4 to a point, P5 to two disjoint edges
+    cores = {}
+    for n in range(2, 10):
+        G = path_graph(n)
+        core, H = fold_core(G)
+        cores[n] = core.bit_count(), len(H.edges)
+        if core.bit_count() == 1:
+            assert nonzero_homology(G) == {}
+        else:
+            # every core vertex has one neighbour: Ind is a join of
+            # 0-spheres, one per edge of the matching
+            assert all(d == 1 for d in map(len, H.adjacency()))
+            assert nonzero_homology(G) == {len(H.edges) - 1: 1}
+            assert nonzero_homology(H) == nonzero_homology(G)
+    assert cores[3] == (2, 1) and cores[4] == (1, 0) and cores[5] == (4, 2)
+
+
+def test_a_pendant_vertex_folds_away_its_neighbours_other_neighbours():
+    # 0 hangs from 1; 1 also meets 2, 3 and 4, which lie on the 5-cycle
+    # 2-3-5-6-4 with a chord 3-4 and a tail 6-7
+    G = graph(8, [(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (3, 5), (5, 6),
+                  (6, 4), (4, 2), (3, 4), (6, 7)])
+    core, H = fold_core(G)
+    assert core & 0b11100 == 0
+    assert core & 0b11 == 0b11
+    # what is left folds to the edges 0-1 and 5-6, and Ind is a circle
+    assert nonzero_homology(H) == nonzero_homology(G) == {1: 1}
 
 
 def test_tables_past_the_relabeling_budget_keep_the_labelled_key():

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import vertexsplit
 from conftest import fraction_rank, mi
-from vertexsplit import kernel
+from vertexsplit import homology, kernel
 from vertexsplit import _kernel_py
-from vertexsplit.graphs import cover_ideal, path_graph
+from vertexsplit.graphs import cover_ideal, cycle_graph, edge_ideal, path_graph
 from vertexsplit.monomials import is_squarefree
 
 
@@ -62,16 +62,27 @@ def test_kernel_caches_clear():
     vertexsplit.vertex_split(I)
     vertexsplit.betti_table(I)
     vertexsplit.vertex_decomposable(vertexsplit.complex_of_ideal(I))
+    # an edge ideal's Hochster table looks up its fold cores in `flag`
+    vertexsplit.betti_table(edge_ideal(cycle_graph(5)))
     info = vertexsplit.cache_info()
-    assert sorted(info) == ["decomposition", "homology", "split", "tables"]
+    assert sorted(info) == ["decomposition", "flag", "homology", "split",
+                            "tables"]
     assert all(c.currsize and c.maxsize == kernel.MEMO_SIZE
                for c in info.values())
     # the kernel's reset empties the homology memo only
     kernel.clear_caches()
     sizes = {name: c.currsize for name, c in vertexsplit.cache_info().items()}
     assert sizes["homology"] == 0
-    assert all(sizes[name] for name in ("tables", "split", "decomposition"))
-    # the package-level reset empties all four
+    assert all(sizes[name]
+               for name in ("flag", "tables", "split", "decomposition"))
+    # the oracle's reset empties its memos and the kernel's
+    homology.clear_caches()
+    sizes = {name: c.currsize for name, c in vertexsplit.cache_info().items()}
+    assert sizes["flag"] == sizes["tables"] == 0
+    assert sizes["split"] and sizes["decomposition"]
+    # the package-level reset empties all five
+    vertexsplit.betti_table(edge_ideal(cycle_graph(5)))
+    assert vertexsplit.cache_info()["flag"].currsize
     vertexsplit.clear_caches()
     assert all(c.currsize == 0 for c in vertexsplit.cache_info().values())
     # an ideal with a square is searched in the same memo, so a second
