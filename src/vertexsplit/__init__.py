@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the LRU memo tables (homology, edge-ideal cores, Betti
-    tables, split and decomposition certificates); see `cache_info`."""
+    """Empty the LRU memo tables (homology, Betti tables, split and
+    decomposition certificates); see `cache_info`."""
     splitting.clear_caches()
     decomposition.clear_caches()
     homology.clear_caches()
@@ -46,17 +46,15 @@ def clear_caches() -> None:
 
 def cache_info() -> dict:
     """The `functools` `CacheInfo` (hits, misses, bound, size) of each memo
-    table: `homology`, `flag`, `tables`, `split` and `decomposition`.
+    table: `homology`, `tables`, `split` and `decomposition`.
 
-    `flag` holds the reduced homology of the independence complexes of the
-    fold cores that the Hochster formula meets on edge ideals, keyed by the
-    core's support-compressed adjacency rows; a miss there computes its
-    homology through the `homology` memo.  Square-free `tables` are keyed
-    by their labelled generators and by the canonical form up to
-    relabeling, so a table computed for a relabeling of the ideal counts
-    as one miss plus one hit."""
+    `homology` is keyed by support-compressed facet masks, so it also
+    shares the fold cores that the Hochster formula meets on edge ideals
+    across calls.  Square-free `tables` are keyed by their labelled
+    generators and by the canonical form up to relabeling, so a table
+    computed for a relabeling of the ideal counts as one miss plus one
+    hit."""
     return {"homology": _kernel_py._dims_of_key.cache_info(),
-            "flag": homology._flag_dims.cache_info(),
             "tables": homology._table.cache_info(),
             "split": splitting._split.cache_info(),
             "decomposition": decomposition._decompose.cache_info()}

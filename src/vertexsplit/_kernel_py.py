@@ -18,7 +18,8 @@ facet is a point and has zero reduced homology; any other core is passed
 to the rank code, and its result is padded with zeros to the length the
 input would have had.  The reduction runs only on a cache miss.  The LRU
 memo of `MEMO_SIZE` entries, the bound of all four package memos, keys by
-the sorted tuple of support-compressed facet masks; a core gets its own key.
+the sorted tuple of support-compressed facet masks
+(`monomials.compress`); a core that lost a vertex gets its own key.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .complexes import _max_antichain
+from .monomials import compress
 
 MEMO_SIZE = 1 << 16
 
@@ -107,20 +109,7 @@ def _canonical_key(facets, p: int) -> tuple:
     support = 0
     for f in facets:
         support |= f
-    place = {}
-    while support:
-        low = support & -support
-        place[low] = 1 << len(place)
-        support ^= low
-    remapped = set()
-    for f in facets:
-        mask = 0
-        while f:
-            low = f & -f
-            mask |= place[low]
-            f ^= low
-        remapped.add(mask)
-    return tuple(sorted(remapped)), p
+    return tuple(sorted(set(compress(facets, support)))), p
 
 
 def _rank(rows, p: int) -> int:
@@ -231,10 +220,10 @@ def _dims_of_key(facets: tuple[int, ...], p: int) -> tuple[int, ...]:
     core = _collapse(facets)
     if len(core) == 1 and core[0]:
         return (0,) * (top + 1)
-    core_key, _ = _canonical_key(core, p)
-    if core_key == facets:
+    if core == list(facets):
         return _homology_from_masks(core, p)
-    dims = _dims_of_key(core_key, p)
+    # a vertex went, so the core's key differs from this one
+    dims = _dims_of_key(*_canonical_key(core, p))
     return dims + (0,) * (top + 1 - len(dims))
 
 

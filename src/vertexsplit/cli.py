@@ -43,6 +43,13 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _check_oracle_size(G) -> None:
+    """Refuse a graph whose edge or cover ideal is too large for the
+    oracle.  Both ideals are generated on the vertices that lie on an
+    edge, and the Hochster loop visits the subsets of those."""
+    check_hochster_size(len({v for e in G.edges for v in e}))
+
+
 def _load_ideal_for_betti(args):
     """Resolve the (ideal, names) pair a betti/classify command works on."""
     if args.graph:
@@ -50,10 +57,9 @@ def _load_ideal_for_betti(args):
         if choice not in ("edge", "cover"):
             raise ParseError("with --graph, --ideal selects `edge` or `cover`")
         G, names = parse_graph(_read(args.graph))
-        if G.edges and (args.mode == "oracle" or args.check):
-            # with an edge, both ideals are square-free and not the unit
-            # ideal, so the oracle's limit applies; building them can be slow
-            check_hochster_size(G.n)
+        if args.mode == "oracle" or args.check:
+            # refuse before building the ideals, which can be slow
+            _check_oracle_size(G)
         ideal = edge_ideal(G) if choice == "edge" else cover_ideal(G)
         return ideal, names
     if args.complex:
@@ -205,6 +211,9 @@ def cmd_classify(args) -> int:
             print(f"refusing: {G.n} vertices exceed --max-n {args.max_n}",
                   file=sys.stderr)
             return USAGE_ERROR
+        # the edge-ideal and dual-complex reports run the oracle; refuse
+        # before the first line is printed
+        _check_oracle_size(G)
         _classify_graph(G, names, args, field)
     return 0
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .monomials import (MonomialIdeal, mono_from_mask, support_mask,
-                        is_squarefree, minimal_transversals)
+from .monomials import (MonomialIdeal, compress, mono_from_mask,
+                        support_mask, is_squarefree, minimal_transversals)
 
 MAX_VERTICES = 63  # faces are stored in machine-word bitmasks
 
@@ -158,16 +158,8 @@ def induced_subcomplex(delta: SimplicialComplex, w_mask: int) -> SimplicialCompl
     """Faces of delta contained in W, relabeled as a complex on W."""
     if w_mask >> delta.ground_size:
         raise ValueError("restriction set is not contained in the ground set")
-    verts = [v for v in range(delta.ground_size) if w_mask >> v & 1]
-    place = {v: i for i, v in enumerate(verts)}
-    relabeled = []
-    for f in restrict_masks(delta.facets, w_mask):
-        mask = 0
-        for v in range(delta.ground_size):
-            if f >> v & 1:
-                mask |= 1 << place[v]
-        relabeled.append(mask)
-    return SimplicialComplex(len(verts), frozenset(relabeled))
+    return SimplicialComplex(w_mask.bit_count(), frozenset(
+        compress(restrict_masks(delta.facets, w_mask), w_mask)))
 
 
 def is_pure(delta: SimplicialComplex) -> bool:

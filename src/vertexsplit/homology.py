@@ -12,9 +12,9 @@ Edge ideals take a graph route through the subset-restriction formula:
 their Stanley-Reisner complex is the independence complex Ind(G), and its
 restriction to W is Ind(G[W]).  Each G[W] is shrunk by the fold lemma
 (Engstrom, "Independence complexes of claw-free graphs", 2008) with bit
-operations on adjacency masks, before any facet exists, and the homology
-of each core is memoized by the core graph (`_flag_dims`, an LRU memo of
-`kernel.MEMO_SIZE` entries reported as `cache_info()["flag"]`).
+operations on adjacency masks, before any facet exists.  A core's facets
+are built once per call and core shape; its homology lives only in the
+kernel's memo, which shares it across calls.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import kernel
 from .betti import BettiTable, make_table
 from .complexes import (SimplicialComplex, complex_of_ideal, dual_facet_ideal,
                         restrict_masks)
-from .monomials import (MonomialIdeal, canonical_supports, degree,
+from .monomials import (MonomialIdeal, canonical_supports, compress, degree,
                         is_squarefree, minimal_transversals, mono_from_mask,
                         support_mask)
 
@@ -109,30 +109,30 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     lcm lattice, the unions of supports, are restricted: at any other W some
     vertex lies in no support inside W, so the restriction is a cone on it
     (Gasharov-Peeva-Welker).  W runs over the subsets of the union of all
-    supports, and the lattice is tested per W, not stored.
+    supports, and the lattice is tested per W, not stored; the size limit
+    counts the vertices of that union, not the variables of the ring.
 
     An edge ideal, every generator of degree two, takes the graph route:
     the restriction to W is the independence complex Ind(G[W]), and W is in
     the lattice iff every vertex of W has a neighbour in W.  G[W] is folded
     first (`_fold`); a core of one vertex is a point, and any other core
-    has its homology looked up by its support-compressed adjacency rows in
-    the LRU memo `_flag_dims`, whose misses build the facets of the core's
-    independence complex.  Every other ideal restricts the facets of its
-    Stanley-Reisner complex.
+    has the facets of its independence complex built once per call and
+    core shape (`_graph_restriction`), then passed to the kernel.  Every
+    other ideal restricts the facets of its Stanley-Reisner complex.
     """
     if I.is_zero:
         raise ValueError("the zero ideal has an empty resolution; no table")
-    # refuse before building the complex, which can itself be huge
-    check_hochster_size(I.num_vars)
     supports = [support_mask(g) for g in I.gens]
+    union = 0
+    for g in supports:
+        union |= g
+    # refuse before building the complex, which can itself be huge
+    check_hochster_size(union.bit_count())
     if is_squarefree(I) and all(s.bit_count() == 2 for s in supports):
         restriction = _graph_restriction(supports, field.char)
     else:
         restriction = _facet_restriction(complex_of_ideal(I).facets,
                                          supports, field.char)
-    union = 0
-    for g in supports:
-        union |= g
     entries: dict[tuple[int, int], int] = {}
     w = 0
     # the non-empty submasks of the union, in increasing order
@@ -208,10 +208,17 @@ def _graph_restriction(edges: list[int], p: int):
     """Reduced homology dims of Ind(G[W]) for the graph with these edge
     masks, or () when W is not a union of edges or G[W] folds to a point.
 
-    Many W fold to the same core, so each call's cores are also kept in a
-    dict by vertex mask; it saves compressing the core again."""
+    Many W fold to the same core, and many cores have one shape, so each
+    call keeps its cores' dims in two dicts: by vertex mask, which saves
+    compressing the core again, and by support-compressed adjacency rows,
+    which saves building its facets again.  The facets of Ind(G[core]),
+    the maximal independent sets, are the complements in the core of the
+    minimal vertex covers of its edges; Berge's method meets the edges
+    in order of their lower, then higher vertex, which keeps it fast."""
+    edges = sorted(edges, key=lambda e: (e & -e, e))
     adj = _adjacency(edges)
     seen: dict[int, tuple[int, ...]] = {}
+    shapes: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def dims(w: int) -> tuple[int, ...]:
         rest = w
@@ -224,42 +231,26 @@ def _graph_restriction(edges: list[int], p: int):
         if not core & (core - 1):
             return ()
         if core not in seen:
-            seen[core] = _flag_dims(_compressed(adj, core), p)
+            shape = _compressed(adj, core)
+            if shape not in shapes:
+                covers = minimal_transversals(e for e in edges
+                                              if e & core == e)
+                shapes[shape] = kernel.homology_dims(
+                    [core & ~t for t in covers], p)
+            seen[core] = shapes[shape]
         return seen[core]
     return dims
 
 
 def _compressed(adj: dict[int, int], core: int) -> tuple[int, ...]:
     """Neighbour masks of G[core] with its k-th lowest vertex as vertex k."""
-    place = {}
+    rows = []
     rest = core
     while rest:
-        low = rest & -rest
-        place[low] = 1 << len(place)
-        rest ^= low
-    rows = []
-    for v in place:
-        nbrs = adj[v] & core
-        row = 0
-        while nbrs:
-            x = nbrs & -nbrs
-            row |= place[x]
-            nbrs ^= x
-        rows.append(row)
-    return tuple(rows)
-
-
-@lru_cache(maxsize=kernel.MEMO_SIZE)
-def _flag_dims(rows: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Reduced homology dims of Ind(G) for the graph G on 0..k-1 whose
-    vertex v has neighbour mask rows[v]; its facets, the maximal
-    independent sets, are the complements of the minimal vertex covers."""
-    k = len(rows)
-    edges = [1 << u | 1 << v for u in range(k) for v in range(u + 1, k)
-             if rows[u] >> v & 1]
-    full = (1 << k) - 1
-    return kernel.homology_dims(
-        [full & ~t for t in minimal_transversals(edges)], p)
+        v = rest & -rest
+        rows.append(adj[v] & core)
+        rest ^= v
+    return tuple(compress(rows, core))
 
 
 def koszul_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
@@ -271,8 +262,8 @@ def koszul_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
 
 
 def clear_caches() -> None:
+    """Empty the oracle's memos: the Betti tables and the kernel's homology."""
     _table.cache_clear()
-    _flag_dims.cache_clear()
     kernel.clear_caches()
 
 

@@ -80,6 +80,25 @@ def mono_from_mask(mask: int, n: int) -> Monomial:
     return tuple(1 if mask >> i & 1 else 0 for i in range(n))
 
 
+def compress(masks: Iterable[int], support: int) -> list[int]:
+    """The masks, each inside support, with the k-th lowest vertex of
+    support renumbered as vertex k."""
+    place = {}
+    while support:
+        low = support & -support
+        place[low] = 1 << len(place)
+        support ^= low
+    out = []
+    for m in masks:
+        mask = 0
+        while m:
+            low = m & -m
+            mask |= place[low]
+            m ^= low
+        out.append(mask)
+    return out
+
+
 def minimal_transversals(masks: Iterable[int]) -> frozenset[int]:
     """Minimal masks meeting every mask of the family (Berge's method): the
     empty family gives {0} and a family containing 0 gives none."""
@@ -126,20 +145,10 @@ def canonical_supports(masks: Iterable[int]) -> tuple[int, ...] | None:
     support = 0
     for m in family:
         support |= m
-    place = {}
-    while support:
-        low = support & -support
-        place[low] = len(place)
-        support ^= low
-    members = []
-    for m in family:
-        vertices = []
-        while m:
-            low = m & -m
-            vertices.append(place[low])
-            m ^= low
-        members.append(vertices)
-    s = len(place)
+    compact = compress(family, support)
+    members = [[k for k in range(m.bit_length()) if m >> k & 1]
+               for m in compact]
+    s = support.bit_count()
     through = [[] for _ in range(s)]
     for k, vertices in enumerate(members):
         for v in vertices:
@@ -171,7 +180,7 @@ def canonical_supports(masks: Iterable[int]) -> tuple[int, ...] | None:
     # each cell orders its classes of twins, not its vertices.  Being twins
     # is an equivalence (u~w and w~x give (u x) = (u w)(w x)(u w)), so one
     # member stands for its class.
-    compressed = {sum(1 << v for v in vertices) for vertices in members}
+    compressed = set(compact)
     orderings = []
     for cell in cells:
         twins = []

@@ -96,6 +96,23 @@ def test_betti_refuses_a_graph_too_large_for_the_oracle(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_betti_oracle_counts_only_the_variables_of_the_generators(
+        tmp_path, capsys):
+    # x0*x1, x1*x2 in 35 variables: the Hochster loop visits 2^3 subsets
+    names = [f"v{i}" for i in range(35)]
+    p = tmp_path / "p3_in_35.ideal"
+    p.write_text(f"kind: ideal\nvars: {' '.join(names)}\nv0*v1\nv1*v2\n")
+    assert main(["betti", "--ideal", str(p), "--format", "flat"]) == 0
+    assert capsys.readouterr().out.strip().splitlines() == ["0 2 2", "1 3 1"]
+
+
+def test_betti_oracle_counts_only_the_vertices_on_an_edge(tmp_path, capsys):
+    p = tmp_path / "p3_in_40.g"
+    p.write_text("n 40\n0 1\n1 2\n")
+    assert main(["betti", "--graph", str(p), "--format", "flat"]) == 0
+    assert capsys.readouterr().out.strip().splitlines() == ["0 2 2", "1 3 1"]
+
+
 def test_betti_recursive_mode_skips_the_oracle(tmp_path, capsys):
     # the edge ideal of a star on 35 vertices is x0*(x1, ..., x34): it
     # splits, so the recursion needs no 2^35-subset oracle table
@@ -230,6 +247,16 @@ def test_classify_graph(files, capsys):
 def test_classify_refuses_oversize(files, capsys):
     assert main(["classify", "--graph", files["p4.g"], "--max-n", "2"]) == 2
     assert "refusing" in capsys.readouterr().err
+
+
+def test_classify_refuses_a_graph_too_large_for_the_oracle_up_front(
+        tmp_path, capsys):
+    p = tmp_path / "p35.g"
+    p.write_text("n 35\n" + "".join(f"{v} {v + 1}\n" for v in range(34)))
+    assert main(["classify", "--graph", str(p), "--max-n", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_verify_small_suite(capsys):

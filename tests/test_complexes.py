@@ -7,13 +7,15 @@ from conftest import mi, sq
 from vertexsplit.complexes import (_max_antichain, alexander_dual_complex,
                                    bight, complex_of_ideal, deletion,
                                    dual_facet_ideal, empty_complex,
-                                   from_facets, induced_subcomplex, is_pure,
+                                   from_facet_masks, from_facets,
+                                   induced_subcomplex, is_pure,
                                    is_simplex, link, minimal_nonfaces,
                                    simplex, stanley_reisner_ideal)
 from vertexsplit.corpus import all_complexes, random_complex, random_graph
 from vertexsplit.decomposition import is_shedding
-from vertexsplit.monomials import (intersect, is_subideal, multiply,
-                                   unit_ideal, variable, variable_ideal)
+from vertexsplit.monomials import (compress, intersect, is_subideal,
+                                   multiply, unit_ideal, variable,
+                                   variable_ideal)
 
 XZ_Y = from_facets([{0, 2}, {1}], 3)  # facets {x,z} and {y}
 
@@ -131,6 +133,28 @@ def test_induced_subcomplex_examples():
     assert induced_subcomplex(XZ_Y, 0b011).facets == {0b01, 0b10}
     assert induced_subcomplex(XZ_Y, 0) == empty_complex(0)
     assert induced_subcomplex(XZ_Y, 0b111) == XZ_Y
+
+
+def relabeled(mask, vertices):
+    """The mask on the listed vertices, the i-th of them renamed i."""
+    return sum(1 << i for i, v in enumerate(vertices) if mask >> v & 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                         max_size=8),
+    st.integers(0, (1 << n) - 1))))
+def test_compress_and_induced_subcomplex_relabel_the_support(drawn):
+    n, masks, w = drawn
+    vertices = [v for v in range(n) if w >> v & 1]
+    inside = [m & w for m in masks]
+    assert compress(inside, w) == [relabeled(m, vertices) for m in inside]
+    delta = from_facet_masks(masks, n)
+    faces_in_w = [f & w for f in delta.facets]
+    expected = from_facet_masks(
+        [relabeled(f, vertices) for f in faces_in_w], len(vertices))
+    assert induced_subcomplex(delta, w) == expected
 
 
 def test_is_pure():

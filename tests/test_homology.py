@@ -66,6 +66,10 @@ def test_hochster_examples():
         hochster_betti(zero_ideal(3))
     with pytest.raises(ValueError, match="2\\^31 vertex subsets"):
         hochster_betti(variable_ideal(31, range(31)))
+    # the limit counts the variables of the generators: x0*x1, x1*x2 in 35
+    # variables visits 2^3 subsets
+    I = mi(35, (1, 1) + (0,) * 33, (0, 1, 1) + (0,) * 32)
+    assert hochster_betti(I).entries == {(0, 2): 2, (1, 3): 1}
 
 
 def test_koszul_examples():
@@ -295,6 +299,20 @@ def test_a_pendant_vertex_folds_away_its_neighbours_other_neighbours():
     assert core & 0b11 == 0b11
     # what is left folds to the edges 0-1 and 5-6, and Ind is a circle
     assert nonzero_homology(H) == nonzero_homology(G) == {1: 1}
+
+
+def test_edge_ideal_cores_are_shared_across_calls_by_the_homology_memo():
+    # each call keeps its cores in per-call dicts only, so a second call
+    # finds every core's dims in the kernel memo
+    I = edge_ideal(cycle_graph(7))
+    clear_caches()
+    first = hochster_betti(I)
+    before = cache_info()["homology"]
+    assert before.misses
+    assert hochster_betti(I) == first
+    after = cache_info()["homology"]
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 def test_tables_past_the_relabeling_budget_keep_the_labelled_key():
