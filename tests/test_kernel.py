@@ -78,6 +78,9 @@ def test_kernel_caches_clear():
     assert sizes["homology"] == sizes["tables"] == 0
     assert sizes["split"] and sizes["decomposition"]
     # the package-level reset empties all four
+    vertexsplit.betti_table(edge_ideal(cycle_graph(5)))
+    info = vertexsplit.cache_info()
+    assert info["tables"].currsize and info["homology"].currsize
     vertexsplit.clear_caches()
     assert all(c.currsize == 0 for c in vertexsplit.cache_info().values())
     # an ideal with a square is searched in the same memo, so a second
