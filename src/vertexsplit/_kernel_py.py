@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .complexes import _max_antichain
-from .monomials import compress
+from .monomials import _max_antichain, compress
 
 MEMO_SIZE = 1 << 16
 

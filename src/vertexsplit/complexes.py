@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .monomials import (MonomialIdeal, compress, mono_from_mask,
-                        support_mask, is_squarefree, minimal_transversals)
+from .monomials import (MonomialIdeal, _max_antichain, compress,
+                        minimal_transversals, squarefree_ideal, support_masks)
 
 MAX_VERTICES = 63  # faces are stored in machine-word bitmasks
 
@@ -37,19 +37,6 @@ def _mask_of(vertices: Iterable[int], n: int) -> int:
 
 def mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _max_antichain(masks: Iterable[int]) -> frozenset[int]:
-    """Keep only the masks that are maximal under inclusion."""
-    maximal: list[int] = []
-    # larger masks first; masks of equal size never contain one another
-    for m in sorted(set(masks), key=int.bit_count, reverse=True):
-        for big in maximal:
-            if m & big == m:
-                break
-        else:
-            maximal.append(m)
-    return frozenset(maximal)
 
 
 @dataclass(frozen=True)
@@ -181,9 +168,7 @@ def minimal_nonfaces(delta: SimplicialComplex) -> list[int]:
 
 def stanley_reisner_ideal(delta: SimplicialComplex) -> MonomialIdeal:
     """The square-free ideal generated by the minimal non-faces."""
-    n = delta.ground_size
-    return MonomialIdeal(
-        n, frozenset(mono_from_mask(m, n) for m in minimal_nonfaces(delta)))
+    return squarefree_ideal(minimal_nonfaces(delta), delta.ground_size)
 
 
 def complex_of_ideal(I: MonomialIdeal) -> SimplicialComplex:
@@ -192,14 +177,12 @@ def complex_of_ideal(I: MonomialIdeal) -> SimplicialComplex:
     Faces are the subsets supporting no generator; the zero ideal gives the
     full simplex.  The unit ideal corresponds to no complex and is rejected.
     """
-    if not is_squarefree(I):
-        raise ValueError("Stanley-Reisner complexes need a square-free ideal")
+    supports = support_masks(I)
     if I.is_unit:
         raise ValueError("the unit ideal has no Stanley-Reisner complex")
     n = I.num_vars
-    gen_masks = [support_mask(g) for g in I.gens]
     full = (1 << n) - 1
-    facets = [full & ~t for t in minimal_transversals(gen_masks)]
+    facets = [full & ~t for t in minimal_transversals(supports)]
     return SimplicialComplex(n, frozenset(facets))
 
 
@@ -219,5 +202,4 @@ def dual_facet_ideal(delta: SimplicialComplex) -> MonomialIdeal:
     n = delta.ground_size
     full = (1 << n) - 1
     # complements of a facet antichain are again an antichain
-    return MonomialIdeal(
-        n, frozenset(mono_from_mask(full & ~f, n) for f in delta.facets))
+    return squarefree_ideal((full & ~f for f in delta.facets), n)

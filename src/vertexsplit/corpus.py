@@ -13,8 +13,8 @@ from typing import Iterator
 
 from .complexes import SimplicialComplex, empty_complex, from_facet_masks
 from .graphs import Graph
-from .monomials import (Monomial, MonomialIdeal, colon, intersect,
-                        mono_from_mask, mono_mul)
+from .monomials import (Monomial, MonomialIdeal, colon, intersect, mono_mul,
+                        squarefree_ideal)
 from .splitting import (InvalidSplitTree, SplitLeaf, SplitNode, SplitTree,
                         _node_gens)
 
@@ -46,8 +46,7 @@ def all_complexes(n: int) -> Iterator[SimplicialComplex]:
 def all_squarefree_ideals(n: int) -> Iterator[MonomialIdeal]:
     """Every nonzero, non-unit square-free monomial ideal in n variables."""
     for supports in _antichain_families(n):
-        yield MonomialIdeal(
-            n, frozenset(mono_from_mask(m, n) for m in supports))
+        yield squarefree_ideal(supports, n)
 
 
 def all_graphs(n: int) -> Iterator[Graph]:

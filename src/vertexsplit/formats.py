@@ -100,21 +100,17 @@ def parse_ideal(text: str) -> tuple[MonomialIdeal, tuple[str, ...]]:
     if declared is None:
         top = 0
         for line in items:
+            if line == "1":
+                continue
             for token in line.split("*"):
                 match = _TOKEN.match(token.strip())
-                if match:
-                    implicit = _IMPLICIT.match(match.group("name"))
-                    if implicit:
-                        top = max(top, int(implicit.group(1)))
+                implicit = match and _IMPLICIT.match(match.group("name"))
+                if not implicit:
+                    raise ParseError(
+                        f"undeclared variable in {line!r}; add a vars: line "
+                        "or use x1, x2, ...")
+                top = max(top, int(implicit.group(1)))
         names = list(default_names(top))
-        for line in items:
-            if line.strip() != "1":
-                for token in line.split("*"):
-                    match = _TOKEN.match(token.strip())
-                    if not match or not _IMPLICIT.match(match.group("name")):
-                        raise ParseError(
-                            f"undeclared variable in {line!r}; add a vars: line "
-                            "or use x1, x2, ...")
     else:
         names = declared
     index = {name: i for i, name in enumerate(names)}
@@ -175,28 +171,26 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
     `vertices:` declaration the pairs use names instead.
     """
     items, declared = _take_header(_split_lines(text), "graph")
-    if declared is not None:
-        index = {name: i for i, name in enumerate(declared)}
-        edges = []
-        for line in items:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"bad edge line {line!r}")
-            try:
-                edges.append((index[parts[0]], index[parts[1]]))
-            except KeyError as exc:
-                raise ParseError(f"undeclared vertex {exc.args[0]!r}") from None
-        return graph(len(declared), edges), tuple(declared)
-    if not items or not items[0].startswith("n "):
-        raise ParseError("edge lists start with a header line `n <count>`")
-    n = int(items[0].split()[1])
+    if declared is None:
+        if not items or not items[0].startswith("n "):
+            raise ParseError("edge lists start with a header line `n <count>`")
+        n = int(items[0].split()[1])
+        items = items[1:]
+        vertex = int
+    else:
+        n = len(declared)
+        vertex = {name: i for i, name in enumerate(declared)}.__getitem__
     edges = []
-    for line in items[1:]:
+    for line in items:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return graph(n, edges), default_names(n)
+        try:
+            edges.append((vertex(parts[0]), vertex(parts[1])))
+        except KeyError as exc:
+            raise ParseError(f"undeclared vertex {exc.args[0]!r}") from None
+    return graph(n, edges), (default_names(n) if declared is None
+                             else tuple(declared))
 
 
 def format_graph(G: Graph, names=None) -> str:

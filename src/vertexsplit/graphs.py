@@ -17,8 +17,8 @@ from .complexes import (SimplicialComplex, alexander_dual_complex,
 from .decomposition import is_shedding, vertex_decomposable
 from .homology import (FieldChoice, QQ, betti_table, has_linear_resolution,
                        is_cohen_macaulay)
-from .monomials import (MonomialIdeal, intersect, mono_from_mask, unit_ideal,
-                        variable_ideal)
+from .monomials import (MonomialIdeal, intersect, squarefree_ideal,
+                        unit_ideal, variable_ideal)
 from .splitting import SplitLeaf, SplitNode, SplitTree, vertex_split
 
 
@@ -96,8 +96,7 @@ def delete_vertices(G: Graph, drop) -> Graph:
 
 def edge_ideal(G: Graph) -> MonomialIdeal:
     """Square-free ideal with one degree-two generator per edge."""
-    return MonomialIdeal(G.n, frozenset(
-        mono_from_mask(1 << u | 1 << v, G.n) for u, v in G.edges))
+    return squarefree_ideal((1 << u | 1 << v for u, v in G.edges), G.n)
 
 
 def cover_ideal(G: Graph) -> MonomialIdeal:

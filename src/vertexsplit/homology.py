@@ -27,8 +27,8 @@ from .betti import BettiTable, make_table
 from .complexes import (SimplicialComplex, complex_of_ideal, dual_facet_ideal,
                         restrict_masks)
 from .monomials import (MonomialIdeal, canonical_supports, compress, degree,
-                        is_squarefree, minimal_transversals, mono_from_mask,
-                        support_mask)
+                        is_squarefree, minimal_transversals, squarefree_ideal,
+                        support_masks)
 
 
 def _is_prime(p: int) -> bool:
@@ -118,17 +118,18 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     first (`_fold`); a core of one vertex is a point, and any other core
     has the facets of its independence complex built once per call and
     core shape (`_graph_restriction`), then passed to the kernel.  Every
-    other ideal restricts the facets of its Stanley-Reisner complex.
+    other ideal restricts the facets of its Stanley-Reisner complex.  An
+    ideal with a square raises ValueError (`support_masks`).
     """
     if I.is_zero:
         raise ValueError("the zero ideal has an empty resolution; no table")
-    supports = [support_mask(g) for g in I.gens]
+    supports = support_masks(I)
     union = 0
     for g in supports:
         union |= g
     # refuse before building the complex, which can itself be huge
     check_hochster_size(union.bit_count())
-    if is_squarefree(I) and all(s.bit_count() == 2 for s in supports):
+    if all(s.bit_count() == 2 for s in supports):
         restriction = _graph_restriction(supports, field.char)
     else:
         restriction = _facet_restriction(complex_of_ideal(I).facets,
@@ -296,12 +297,11 @@ def _table(n: int, gens: tuple, p: int) -> BettiTable:
     per labelled miss; a key of masks is already canonical.
     """
     if isinstance(gens[0], int):
-        ideal = MonomialIdeal(n, frozenset(mono_from_mask(m, n) for m in gens))
-        return hochster_betti(ideal, FieldChoice(p))
+        return hochster_betti(squarefree_ideal(gens, n), FieldChoice(p))
     I = MonomialIdeal(n, frozenset(gens))
     if not is_squarefree(I) or I.is_unit:
         return koszul_betti(I, FieldChoice(p))
-    canonical = canonical_supports(support_mask(g) for g in gens)
+    canonical = canonical_supports(support_masks(I))
     if canonical is None:
         return hochster_betti(I, FieldChoice(p))
     return _table(n, canonical, p)

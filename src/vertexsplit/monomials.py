@@ -1,10 +1,20 @@
-"""Monomials and monomial ideals with exact ideal arithmetic.
+"""Monomials and monomial ideals with exact ideal arithmetic, and the
+boundary between square-free ideals and vertex masks.
 
 A monomial is a tuple of non-negative integer exponents of fixed length n
 (the number of variables); the unit monomial is the all-zero tuple.  A
 monomial ideal is stored by its unique minimal generating set, which is an
 antichain under divisibility.  The zero ideal has no generators and the unit
 ideal is generated by the unit monomial.
+
+Complexes and graphs are vertex bitmasks instead, and a square-free
+generator is its support mask (bit i set when x_i divides it).  This module
+owns that format: `support_masks` reads the masks of a square-free ideal,
+`squarefree_ideal` writes the ideal of an antichain of masks, and no other
+module converts between the two (`splitting` searches stacked masks of
+exponent ranks, a format of its own).  The mask routines `compress`,
+`_max_antichain` and `minimal_transversals` live here too, so the kernel
+imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 from math import factorial
+from operator import lshift
 from typing import Iterable
 
 Monomial = tuple[int, ...]
@@ -27,19 +38,6 @@ def unit_monomial(n: int) -> Monomial:
 
 def degree(m: Monomial) -> int:
     return sum(m)
-
-
-def is_squarefree_monomial(m: Monomial) -> bool:
-    return all(e <= 1 for e in m)
-
-
-def support_mask(m: Monomial) -> int:
-    """Bitmask of the variables occurring in m."""
-    mask = 0
-    for i, e in enumerate(m):
-        if e:
-            mask |= 1 << i
-    return mask
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
@@ -97,6 +95,19 @@ def compress(masks: Iterable[int], support: int) -> list[int]:
             m ^= low
         out.append(mask)
     return out
+
+
+def _max_antichain(masks: Iterable[int]) -> frozenset[int]:
+    """Keep only the masks that are maximal under inclusion."""
+    maximal: list[int] = []
+    # larger masks first; masks of equal size never contain one another
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for big in maximal:
+            if m & big == m:
+                break
+        else:
+            maximal.append(m)
+    return frozenset(maximal)
 
 
 def minimal_transversals(masks: Iterable[int]) -> frozenset[int]:
@@ -312,7 +323,22 @@ def x_partition(I: MonomialIdeal, x: int) -> tuple[MonomialIdeal, MonomialIdeal]
 
 
 def is_squarefree(I: MonomialIdeal) -> bool:
-    return all(is_squarefree_monomial(g) for g in I.gens)
+    """True iff no exponent of a generator exceeds one."""
+    return not (I.num_vars and I.gens) or max(map(max, I.gens)) <= 1
+
+
+def support_masks(I: MonomialIdeal) -> list[int]:
+    """The support masks of the generators of a square-free ideal; a
+    generator with a square raises ValueError."""
+    if not is_squarefree(I):
+        raise ValueError("the ideal has a square, so it is not square-free")
+    return [sum(map(lshift, g, range(I.num_vars))) for g in I.gens]
+
+
+def squarefree_ideal(masks: Iterable[int], n: int) -> MonomialIdeal:
+    """The square-free ideal in n variables whose generators have these
+    support masks, which must form an antichain under inclusion."""
+    return MonomialIdeal(n, frozenset(mono_from_mask(m, n) for m in masks))
 
 
 def multiply(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
@@ -329,9 +355,4 @@ def multiply(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
 def alexander_dual_ideal(I: MonomialIdeal) -> MonomialIdeal:
     """Alexander dual of a square-free ideal: the intersection of the
     variable primes of its generator supports."""
-    if not is_squarefree(I):
-        raise ValueError("Alexander dual is only defined for square-free ideals")
-    n = I.num_vars
-    return MonomialIdeal(n, frozenset(
-        mono_from_mask(t, n)
-        for t in minimal_transversals(support_mask(g) for g in I.gens)))
+    return squarefree_ideal(minimal_transversals(support_masks(I)), I.num_vars)

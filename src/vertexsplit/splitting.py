@@ -24,9 +24,9 @@ from .betti import BettiTable, add_shifted, make_table
 from .homology import FieldChoice, QQ, betti_table
 from .kernel import MEMO_SIZE
 from .monomials import (Monomial, MonomialIdeal, colon, degree, divides,
-                        intersect, is_subideal, minimalize, mono_from_mask,
-                        mono_gcd, mono_div, mono_mul, multiply, variable,
-                        variable_ideal)
+                        intersect, is_squarefree, is_subideal, minimalize,
+                        mono_from_mask, mono_gcd, mono_div, mono_mul, multiply,
+                        variable, variable_ideal)
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def vertex_split(I: MonomialIdeal) -> Optional[SplitTree]:
     """
     n, gens = I.num_vars, I.gens
     values = None
-    if n and gens and max(map(max, gens)) > 1:
+    if not is_squarefree(I):
         values = [sorted({0, 1, *column}) for column in zip(*gens)]
         # rank r of variable i becomes r bits, n apart, shifted by i below
         codes = [{e: sum(1 << k * n for k in range(r))

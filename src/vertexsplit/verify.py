@@ -24,9 +24,8 @@ from .graphs import (Graph, ScmNode, chordal_split, complement,
                      path_graph, simplicial_vertex)
 from .homology import (FieldChoice, QQ, betti_table, has_linear_resolution,
                        koszul_betti)
-from .monomials import (MonomialIdeal, alexander_dual_ideal, degree,
-                        intersect, mono_from_mask, multiply, variable,
-                        x_partition)
+from .monomials import (alexander_dual_ideal, degree, intersect, multiply,
+                        squarefree_ideal, variable, x_partition)
 from .splitting import (betti_from_sets, betti_recursive,
                         quotient_order_from_split, split_nodes,
                         validate_split_tree, verify_betti_splitting,
@@ -241,8 +240,7 @@ def suite_terai(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
     sample_n = min(max_n + 1, 7)
     for _ in range(count):
         delta = corpus.random_complex(sample_n, max_facets=8, rng=rng)
-        check(MonomialIdeal(sample_n, frozenset(
-            mono_from_mask(m, sample_n) for m in delta.facets)))
+        check(squarefree_ideal(delta.facets, sample_n))
     return result
 
 
@@ -269,6 +267,9 @@ def suite_chordal_split(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult
     """Complement edge ideals of chordal graphs split, the certificates
     validate, and the induced quotient orders verify."""
     max_n = 7 if max_n is None else max_n
+    if max_n < 2:
+        raise ValueError(f"--max-n must be at least 2 to sample chordal "
+                         f"graphs, got {max_n}")
     count = 5000 if count is None else count
     result = SuiteResult("chordal-split")
     rng = Random(seed)

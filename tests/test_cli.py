@@ -346,6 +346,9 @@ def test_gen_rejects_impossible_sizes(argv, capsys):
     # splittable ideals are sampled on at least two variables
     (["verify", "betti-agreement", "--max-n", "1"], "--max-n"),
     (["verify", "linear-quotients", "--max-n", "0"], "--max-n"),
+    # chordal graphs are sampled on at least two vertices
+    (["verify", "chordal-split", "--max-n", "0"], "--max-n"),
+    (["verify", "chordal-split", "--max-n", "1"], "--max-n"),
 ])
 def test_verify_rejects_negative_sizes(argv, option, capsys):
     assert main(argv) == 2

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mi, sq
-from vertexsplit.complexes import (_max_antichain, alexander_dual_complex,
-                                   bight, complex_of_ideal, deletion,
+from vertexsplit.complexes import (alexander_dual_complex, bight,
+                                   complex_of_ideal, deletion,
                                    dual_facet_ideal, empty_complex,
                                    from_facet_masks, from_facets,
                                    induced_subcomplex, is_pure,
@@ -13,9 +13,9 @@ from vertexsplit.complexes import (_max_antichain, alexander_dual_complex,
                                    simplex, stanley_reisner_ideal)
 from vertexsplit.corpus import all_complexes, random_complex, random_graph
 from vertexsplit.decomposition import is_shedding
-from vertexsplit.monomials import (compress, intersect, is_subideal,
-                                   multiply, unit_ideal, variable,
-                                   variable_ideal)
+from vertexsplit.monomials import (_max_antichain, compress, intersect,
+                                   is_subideal, multiply, unit_ideal,
+                                   variable, variable_ideal)
 
 XZ_Y = from_facets([{0, 2}, {1}], 3)  # facets {x,z} and {y}
 

@@ -21,7 +21,7 @@ from vertexsplit.homology import (FieldChoice, QQ, betti_table,
                                   is_cohen_macaulay, koszul_betti,
                                   parse_field, reduced_homology_dims)
 from vertexsplit.monomials import (MonomialIdeal, canonical_supports,
-                                   minimalize, mono_from_mask, support_mask,
+                                   minimalize, mono_from_mask, support_masks,
                                    unit_ideal, variable_ideal, zero_ideal)
 
 GF2 = FieldChoice.prime(2)
@@ -70,6 +70,14 @@ def test_hochster_examples():
     # variables visits 2^3 subsets
     I = mi(35, (1, 1) + (0,) * 33, (0, 1, 1) + (0,) * 32)
     assert hochster_betti(I).entries == {(0, 2): 2, (1, 3): 1}
+
+
+def test_hochster_rejects_an_ideal_with_a_square():
+    # x^2*y, y*z: every support has two vertices, the shape of an edge
+    # ideal, so only the square test keeps it off the graph route
+    for I in (mi(1, (2,)), mi(3, (2, 1, 0), (0, 1, 1))):
+        with pytest.raises(ValueError, match="square-free"):
+            hochster_betti(I)
 
 
 def test_koszul_examples():
@@ -210,7 +218,7 @@ def reference_edge_hochster(I, p):
     Stanley-Reisner facets restricted to each W that is a union of
     generator supports, with the kernel's homology."""
     facets = complex_of_ideal(I).facets
-    supports = [support_mask(g) for g in I.gens]
+    supports = support_masks(I)
     entries = {}
     for w in range(1, 1 << I.num_vars):
         if w != reduce(or_, (g for g in supports if g & w == g), 0):
@@ -318,7 +326,7 @@ def test_edge_ideal_cores_are_shared_across_calls_by_the_homology_memo():
 def test_tables_past_the_relabeling_budget_keep_the_labelled_key():
     # the 12-cycle is vertex-transitive: one cell, 12! orderings
     I = edge_ideal(cycle_graph(12))
-    assert canonical_supports(support_mask(g) for g in I.gens) is None
+    assert canonical_supports(support_masks(I)) is None
     clear_caches()
     assert betti_table(I) == hochster_betti(I)
 

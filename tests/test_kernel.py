@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -22,6 +23,25 @@ def test_kernel_reexports_the_python_implementation():
                  "clear_caches"):
         assert getattr(kernel, name) is getattr(_kernel_py, name), name
     assert kernel.active_backend() == "python"
+
+
+def test_the_kernel_imports_no_package_module_but_monomials():
+    # the kernel is the lowest layer: the mask helpers it needs live in
+    # `monomials`, not in the complexes built on top of it
+    tree = ast.parse(Path(_kernel_py.__file__).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # `from .x import y` and `from . import x` both name x
+            modules.update(f"vertexsplit.{name}" for name in (
+                [node.module] if node.module else
+                [alias.name for alias in node.names]))
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    package = {m for m in modules if m.split(".")[0] == "vertexsplit"}
+    assert package == {"vertexsplit.monomials"}
 
 
 def test_rank_against_reference():

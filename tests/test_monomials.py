@@ -2,16 +2,18 @@ from itertools import permutations
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import ideals_equal_by_membership, member, mi, sq
 from vertexsplit.corpus import all_squarefree_ideals
-from vertexsplit.monomials import (MonomialIdeal, alexander_dual_ideal,
-                                   canonical_supports, colon, divides,
-                                   intersect, is_squarefree, is_subideal,
-                                   minimal_transversals, minimalize, multiply,
-                                   support_mask, unit_ideal, variable,
-                                   x_partition, zero_ideal)
+from vertexsplit.monomials import (MonomialIdeal, _max_antichain,
+                                   alexander_dual_ideal, canonical_supports,
+                                   colon, divides, intersect, is_squarefree,
+                                   is_subideal, minimal_transversals,
+                                   minimalize, mono_from_mask, multiply,
+                                   squarefree_ideal, support_masks,
+                                   unit_ideal, variable, x_partition,
+                                   zero_ideal)
 
 
 def test_minimalize_absorbs_multiples():
@@ -111,7 +113,51 @@ def test_x_partition_errors():
 def test_is_squarefree():
     assert is_squarefree(sq("xy", "yz"))
     assert not is_squarefree(mi(1, (2,)))
+    assert not is_squarefree(mi(3, (1, 1, 0), (0, 2, 1)))
     assert is_squarefree(zero_ideal(4))
+    assert is_squarefree(zero_ideal(0)) and is_squarefree(unit_ideal(0))
+    assert is_squarefree(unit_ideal(3))
+
+
+@st.composite
+def mask_antichains(draw):
+    """n <= 8 and an antichain of masks on n vertices; {0} when every mask
+    drawn is empty, and none when none is drawn."""
+    n = draw(st.integers(0, 8))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    return n, _max_antichain(masks)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mask_antichains())
+@example((0, frozenset()))
+@example((0, frozenset({0})))
+@example((3, frozenset()))
+@example((3, frozenset({0})))
+def test_support_masks_read_back_what_squarefree_ideal_writes(drawn):
+    n, masks = drawn
+    I = squarefree_ideal(masks, n)
+    assert I == minimalize((mono_from_mask(m, n) for m in masks), n)
+    assert I.is_zero == (not masks) and I.is_unit == (masks == {0})
+    assert is_squarefree(I)
+    assert sorted(support_masks(I)) == sorted(masks)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=6)))
+def test_a_square_is_refused_at_the_mask_boundary(gens):
+    n = len(gens[0])
+    I = minimalize(gens, n)
+    squarefree = all(e <= 1 for g in I.gens for e in g)
+    assert is_squarefree(I) == squarefree
+    if squarefree:
+        assert sorted(support_masks(I)) == sorted(
+            sum(e << i for i, e in enumerate(g)) for g in I.gens)
+        return
+    for reader in (support_masks, alexander_dual_ideal):
+        with pytest.raises(ValueError, match="square-free"):
+            reader(I)
 
 
 def test_alexander_dual_examples():
@@ -216,7 +262,7 @@ def test_canonical_supports_match_brute_force_isomorphism():
         orbit_of = {}
         keys_of = {}
         for I in all_squarefree_ideals(n):
-            family = frozenset(support_mask(g) for g in I.gens)
+            family = frozenset(support_masks(I))
             if family not in orbit_of:
                 orbit = len(keys_of)
                 keys_of[orbit] = set()
