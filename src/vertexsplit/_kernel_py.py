@@ -2,9 +2,12 @@
 fine-graded Betti table of a monomial ideal from its upper Koszul
 complexes.
 
-`vertexsplit.kernel` re-exports the entry points defined here.  Matrix
-work is fraction-free over the integers (characteristic zero) or modular
-(prime fields), so every rank is exact.
+`vertexsplit.kernel` re-exports the entry points defined here.  Boundary
+ranks come from one sparse elimination on unit pivots, exact over QQ and
+over every GF(p) (`sparse_rank`); over QQ, rows left with no unit pivot
+are ranked by fraction-free Bareiss elimination (`rank_int`).  `rank_int`
+and `rank_mod` are the dense ranks of list-of-lists matrices, over QQ and
+GF(p), so every rank is exact.
 
 Before any matrix is built, `homology_dims` shrinks a complex to its
 strong-collapse core (Barmak-Minian, "Strong homotopy types, nerves and
@@ -14,12 +17,13 @@ w, the complex with v deleted is a strong deformation retract of the
 whole, and reduced homology over any field is unchanged.  Dominated
 vertices are deleted one at a time until none is left, because two
 vertices can dominate each other.  A core that is a single non-empty
-facet is a point and has zero reduced homology; any other core is passed
-to the rank code, and its result is padded with zeros to the length the
-input would have had.  The reduction runs only on a cache miss.  The LRU
-memo of `MEMO_SIZE` entries, the bound of all four package memos, keys by
-the sorted tuple of support-compressed facet masks
-(`monomials.compress`); a core that lost a vertex gets its own key.
+facet is a point and has zero reduced homology.  Any other core's
+boundary matrices are built sparse from its face masks and ranked, and
+its result is padded with zeros to the length the input would have had.
+The reduction runs only on a cache miss.  The LRU memo of `MEMO_SIZE`
+entries, the bound of all four package memos, keys by the sorted tuple
+of support-compressed facet masks (`monomials.compress`); a core that
+lost a vertex gets its own key.
 """
 
 from __future__ import annotations
@@ -111,10 +115,6 @@ def _canonical_key(facets, p: int) -> tuple:
     return tuple(sorted(set(compress(facets, support)))), p
 
 
-def _rank(rows, p: int) -> int:
-    return rank_int(rows) if p == 0 else rank_mod(rows, p)
-
-
 def strong_collapse_core(facets) -> list[int]:
     """Sorted facets of a strong-collapse core of the complex the masks
     generate.
@@ -159,44 +159,121 @@ def _collapse(facets) -> list[int]:
     return sorted(core)
 
 
-def _homology_from_masks(facets: list[int], p: int) -> tuple[int, ...]:
-    """Reduced homology dimensions; entry t is dim of degree t-1 homology."""
-    faces = set()
-    stack = list(facets)
-    while stack:
-        f = stack.pop()
-        if f in faces:
+def sparse_rank(rows, p: int) -> tuple[int, set]:
+    """Rank over QQ (p=0) or GF(p) of the integer matrix whose rows are
+    `{column: entry}` dicts, and the set of pivot columns found.
+
+    Each row is reduced at its lowest column (its lead) by the pivot rows
+    found so far, and becomes a pivot row itself when its lead entry is a
+    unit (Dumas, Heckenbach, Saunders and Welker, "Computing simplicial
+    homology based on efficient Smith normal form algorithms", 2003).
+    Over GF(p) the entries are reduced mod p first, so every nonzero entry
+    is a unit.  Over the integers the units are 1 and -1, and a row whose
+    lead is any other integer is set aside.  Adding an integer multiple of
+    a row whose lead is 1 or -1 to another row is a unimodular integer row
+    operation, and it commutes with reduction mod p, which is a ring map.
+    So one elimination is exact over QQ and over every GF(p), with no
+    fractions.
+
+    Pivot rows have distinct leads and no entry left of their lead, so
+    they are independent of each other and of every row that is zero in
+    each pivot column.  The rows set aside (over QQ only) are reduced to
+    that form, lowest pivot column first, since a pivot row adds entries
+    only right of its lead, and passed densely to `rank_int`.  The rank is
+    the number of pivots plus that dense rank.  The columns returned are
+    the leads of the pivot rows; the dense remainder adds none.
+    """
+    pivots = {}
+    rest = []
+    for row in rows:
+        row = {k: v % p for k, v in row.items() if v % p} if p else dict(row)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                break
+            _subtract(row, row[lead], pivot, p)
+        if not row:
             continue
-        faces.add(f)
-        g = f
-        while g:
-            bit = g & -g
-            stack.append(f & ~bit)
-            g &= g - 1
+        c = row[lead]
+        if p:
+            inverse = pow(c, p - 2, p)
+            pivots[lead] = {k: v * inverse % p for k, v in row.items()}
+        elif c == 1 or c == -1:
+            pivots[lead] = row if c == 1 else {k: -v for k, v in row.items()}
+        else:
+            rest.append(row)
+    rank = len(pivots)
+    if rest:
+        for row in rest:
+            while live := [k for k in row if k in pivots]:
+                column = min(live)
+                _subtract(row, row[column], pivots[column], 0)
+        columns = sorted({k for row in rest for k in row})
+        rank += rank_int([[row.get(k, 0) for k in columns] for row in rest])
+    return rank, set(pivots)
+
+
+def _subtract(row: dict, c: int, pivot: dict, p: int) -> None:
+    """row -= c * pivot in place (mod p when p > 0), dropping zeros.
+
+    c and every entry of the pivot are nonzero, so a column missing from
+    the row never cancels."""
+    get = row.get
+    for k, v in pivot.items():
+        x = get(k, 0) - c * v
+        if p:
+            x %= p
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+def _homology_from_masks(facets: list[int], p: int) -> tuple[int, ...]:
+    """Reduced homology dimensions; entry t is dim of degree t-1 homology.
+
+    The boundary row of a face f is `{f ^ v: ±1}` over its vertices v,
+    with alternating signs, so its columns are face masks one level down
+    and no index map or dense matrix is built.  Levels are ranked from the
+    top down.  A face that is a pivot column of the level above is left
+    out of its own level's rows ("clearing": Chen and Kerber, "Persistent
+    homology computation with a twist", 2011).  Its pivot row R is a
+    combination of boundaries, so the boundary of R is zero; R has a unit
+    at that face and entries only at higher faces of the same level, so
+    the face's boundary is a combination of theirs.  Taken from the
+    highest cleared face down, each cleared row lies in the span of the
+    rows kept, so the rank is unchanged; those rows would only have
+    reduced to zero.
+    """
     top = max(f.bit_count() for f in facets)
-    levels = [[] for _ in range(top + 1)]
-    for f in faces:
-        levels[f.bit_count()].append(f)
-    for level in levels:
-        level.sort()
+    by_size = [[] for _ in range(top + 1)]
+    for f in facets:
+        by_size[f.bit_count()].append(f)
+    level = set(by_size[top])
+    sizes = [0] * (top + 1)
     ranks = [0] * (top + 2)
-    for t in range(1, top + 1):
-        below = {mask: idx for idx, mask in enumerate(levels[t - 1])}
-        matrix = []
-        for f in levels[t]:
-            col = [0] * len(below)
+    cleared = set()
+    for t in range(top, 0, -1):
+        sizes[t] = len(level)
+        below = set(by_size[t - 1])
+        rows = []
+        for f in sorted(level):
+            row = {}
             sign = 1
             g = f
             while g:
                 bit = g & -g
-                col[below[f & ~bit]] = sign
+                row[f ^ bit] = sign
                 sign = -sign
-                g &= g - 1
-            matrix.append(col)
-        # columns were built as rows; rank is transpose-invariant
-        ranks[t] = _rank(matrix, p)
-    return tuple(len(levels[t]) - ranks[t] - ranks[t + 1]
-                 for t in range(top + 1))
+                g ^= bit
+            below.update(row)
+            if f not in cleared:
+                rows.append(row)
+        ranks[t], cleared = sparse_rank(rows, p)
+        level = below
+    sizes[0] = len(level)
+    return tuple(sizes[t] - ranks[t] - ranks[t + 1] for t in range(top + 1))
 
 
 def homology_dims(facets, p: int) -> tuple[int, ...]:

@@ -211,6 +211,73 @@ def test_projective_plane_is_its_own_core():
     assert _kernel_py.homology_dims(RP2_MASKS, 0) == (0, 0, 0, 0)
 
 
+def test_projective_plane_over_qq_reaches_the_dense_remainder(monkeypatch):
+    # over the integers RP2's top boundary has a row that reduces to a lead
+    # of 2, which only the dense remainder can rank; mod 2 it vanishes
+    calls = []
+    dense = _kernel_py.rank_int
+
+    def counted(rows):
+        calls.append(rows)
+        return dense(rows)
+
+    monkeypatch.setattr(_kernel_py, "rank_int", counted)
+    _kernel_py.clear_caches()
+    assert _kernel_py.homology_dims(RP2_MASKS, 0) == (0, 0, 0, 0)
+    assert len(calls) >= 1
+    assert _kernel_py.homology_dims(RP2_MASKS, 2) == (0, 0, 1, 1)
+
+
+def reference_homology(facets, p):
+    """Reduced homology spelled out: every face of the facets, levels in
+    increasing mask order, dense boundary matrices with the sign (-1)^k
+    for dropping the k-th lowest vertex, ranked by plain fraction
+    elimination over QQ and by `rank_mod` over GF(p)."""
+    faces = {g for f in facets for g in range(f + 1) if g & f == g}
+    top = max(f.bit_count() for f in facets)
+    levels = [sorted(g for g in faces if g.bit_count() == t)
+              for t in range(top + 1)]
+
+    def rank(t):
+        if t == 0 or t > top:
+            return 0
+        col = {g: j for j, g in enumerate(levels[t - 1])}
+        rows = []
+        for f in levels[t]:
+            row = [0] * len(col)
+            vertices = [v for v in range(f.bit_length()) if f >> v & 1]
+            for k, v in enumerate(vertices):
+                row[col[f & ~(1 << v)]] = (-1) ** k
+            rows.append(row)
+        return fraction_rank(rows) if p == 0 else kernel.rank_mod(rows, p)
+
+    return tuple(len(levels[t]) - rank(t) - rank(t + 1)
+                 for t in range(top + 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(facet_sets, st.sampled_from([0, 2, 3]))
+def test_homology_matches_dense_reference_ranks(facets, p):
+    expected = reference_homology(facets, p)
+    _kernel_py.clear_caches()
+    assert _kernel_py.homology_dims(facets, p) == expected
+    # the collapse shrinks most inputs first; rank the whole input too
+    assert _kernel_py._homology_from_masks(facets, p) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    min_size=1, max_size=8)))
+def test_sparse_rank_matches_dense_ranks(rows):
+    # entries other than 0 and ±1 leave rows with non-unit leads over QQ,
+    # so the dense remainder is exercised too
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert _kernel_py.sparse_rank(sparse, 0)[0] == fraction_rank(rows)
+    for p in (2, 3):
+        assert _kernel_py.sparse_rank(sparse, p)[0] == kernel.rank_mod(rows, p)
+
+
 def test_homology_beyond_64_vertices():
     # cache keys have no word size: a 65-vertex simplex is acyclic, and two
     # disjoint facets that together span 65 vertices are two components
