@@ -214,7 +214,9 @@ def _graph_restriction(edges: list[int], p: int):
     compressing the core again, and by support-compressed adjacency rows,
     which saves building its facets again.  The facets of Ind(G[core]),
     the maximal independent sets, are the complements in the core of the
-    minimal vertex covers of its edges."""
+    minimal vertex covers of its edges; Berge's method meets the edges
+    in order of their lower, then higher vertex, which keeps it fast."""
+    edges = sorted(edges, key=lambda e: (e & -e, e))
     adj = _adjacency(edges)
     seen: dict[int, tuple[int, ...]] = {}
     shapes: dict[tuple[int, ...], tuple[int, ...]] = {}

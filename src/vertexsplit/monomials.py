@@ -112,13 +112,9 @@ def _max_antichain(masks: Iterable[int]) -> frozenset[int]:
 
 def minimal_transversals(masks: Iterable[int]) -> frozenset[int]:
     """Minimal masks meeting every mask of the family (Berge's method): the
-    empty family gives {0} and a family containing 0 gives none.
-
-    The masks are met in order of their lowest vertex, then their value,
-    whatever order they come in: on random edge ideals, set order made
-    Berge's method test about a fifth more candidates."""
+    empty family gives {0} and a family containing 0 gives none."""
     transversals = [0]
-    for e in sorted(masks, key=lambda e: (e & -e, e)):
+    for e in masks:
         kept, grown = [], set()
         for t in transversals:
             if t & e:
