@@ -48,9 +48,9 @@ def cache_info() -> dict:
     """The `functools` `CacheInfo` (hits, misses, bound, size) of each memo
     table: `homology`, `tables`, `split` and `decomposition`.
 
-    `homology` is keyed by support-compressed facet masks, so it also
-    shares the fold cores that the Hochster formula meets on edge ideals
-    across calls.  Square-free `tables` are keyed by their labelled
+    `homology` is keyed by support-compressed facet masks; edge ideals
+    reach it only at the rare vertex sets where the Hochster recursion
+    falls back to the kernel.  Square-free `tables` are keyed by their labelled
     generators and by the canonical form up to relabeling, so a table
     computed for a relabeling of the ideal counts as one miss plus one
     hit."""

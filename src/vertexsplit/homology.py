@@ -5,22 +5,26 @@ Betti numbers: the subset-restriction formula for square-free ideals
 (through the Stanley-Reisner complex) and the upper-Koszul route for
 arbitrary monomial ideals.  Everything downstream (linear resolutions,
 Cohen-Macaulayness, regularity, projective dimension) reads off these
-tables.  All ranks are exact: fraction-free integer elimination over the
-rationals, modular elimination over prime fields.
+tables.  All ranks are exact: sparse elimination on unit pivots over
+the rationals and over prime fields (`kernel`).
 
 Edge ideals take a graph route through the subset-restriction formula:
 their Stanley-Reisner complex is the independence complex Ind(G), and its
-restriction to W is Ind(G[W]).  Each G[W] is shrunk by the fold lemma
-(Engstrom, "Independence complexes of claw-free graphs", 2008) with bit
-operations on adjacency masks, before any facet exists.  A core's facets
-are built once per call and core shape; its homology lives only in the
-kernel's memo, which shares it across calls.
+restriction to W is Ind(G[W]).  The link of a vertex v in Ind(G[W]) is
+Ind(G[W - N[v]]), again an induced subcomplex, so the link-deletion
+splitting (Adamaszek, "Splittings of independence complexes and the
+powers of cycles", 2012) gives the homology of each W from two smaller W
+by its Mayer-Vietoris sequence, with no matrix, whenever the two share no
+nonzero degree (`_independence_table`).  Only a W at which every vertex
+collides builds facets and calls the kernel.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 from . import kernel
 from .betti import BettiTable, make_table
@@ -91,7 +95,7 @@ def reduced_homology_dims(delta: SimplicialComplex,
     return {t - 1: dims[t] for t in range(len(dims))}
 
 
-MAX_HOCHSTER_VERTICES = 30
+MAX_HOCHSTER_VERTICES = 24
 
 
 def check_hochster_size(n: int) -> None:
@@ -113,13 +117,13 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     counts the vertices of that union, not the variables of the ring.
 
     An edge ideal, every generator of degree two, takes the graph route:
-    the restriction to W is the independence complex Ind(G[W]), and W is in
-    the lattice iff every vertex of W has a neighbour in W.  G[W] is folded
-    first (`_fold`); a core of one vertex is a point, and any other core
-    has the facets of its independence complex built once per call and
-    core shape (`_graph_restriction`), then passed to the kernel.  Every
-    other ideal restricts the facets of its Stanley-Reisner complex.  An
-    ideal with a square raises ValueError (`support_masks`).
+    the restriction to W is the independence complex Ind(G[W]), a cone
+    unless every vertex of W has a neighbour in W, and one recursion over
+    the subsets of the union fills in the homology of every W
+    (`_independence_table`); its table holds one entry per subset, which
+    bounds the limit.  Every other ideal restricts the facets of its
+    Stanley-Reisner complex.  An ideal with a square raises ValueError
+    (`support_masks`).
     """
     if I.is_zero:
         raise ValueError("the zero ideal has an empty resolution; no table")
@@ -130,20 +134,29 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     # refuse before building the complex, which can itself be huge
     check_hochster_size(union.bit_count())
     if all(s.bit_count() == 2 for s in supports):
-        restriction = _graph_restriction(supports, field.char)
+        table, shapes = _independence_table(supports, field.char)
+        # W renumbered into the union keeps its size
+        counts = Counter(zip(map(int.bit_count, range(len(table))), table))
+        restrictions = ((j, shapes[s], c) for (j, s), c in counts.items())
     else:
         restriction = _facet_restriction(complex_of_ideal(I).facets,
                                          supports, field.char)
+        restrictions = ((w.bit_count(), restriction(w), 1)
+                        for w in _submasks(union))
     entries: dict[tuple[int, int], int] = {}
-    w = 0
-    # the non-empty submasks of the union, in increasing order
-    while w := (w - union) & union:
-        j = w.bit_count()
-        for t, d in enumerate(restriction(w)):
+    for j, dims, c in restrictions:
+        for t, d in enumerate(dims):
             i = j - t - 1
             if d and i >= 0:
-                entries[i, j] = entries.get((i, j), 0) + d
+                entries[i, j] = entries.get((i, j), 0) + c * d
     return make_table(entries, "ideal")
+
+
+def _submasks(union: int):
+    """The non-empty submasks of union, in increasing order."""
+    w = 0
+    while w := (w - union) & union:
+        yield w
 
 
 def _facet_restriction(facets, supports: list[int], p: int):
@@ -160,98 +173,83 @@ def _facet_restriction(facets, supports: list[int], p: int):
     return dims
 
 
-def _adjacency(edges) -> dict[int, int]:
-    """Neighbour mask of each vertex of the edge masks, keyed by its bit."""
-    adj: dict[int, int] = {}
+def _independence_table(edges: list[int], p: int):
+    """Reduced homology of Ind(G[W]) for every vertex set W of the graph
+    with these edge masks, its n vertices renumbered 0..n-1 in order.
+
+    Returns (table, shapes): the dims h[W] of W are shapes[table[W]],
+    indexed t = degree + 1, with trailing zeros dropped, so () is zero
+    homology.  Each distinct tuple is stored once, and the table holds one
+    small int per subset.  W runs upwards from h[0] = (1,), the empty
+    complex:
+    - a vertex of W with no neighbour in W makes Ind(G[W]) a cone, so h[W]
+      is zero;
+    - else, for a vertex v of W, Ind(G[W]) is the union of D = Ind(G[W-v])
+      and the cone v*L on the link L = Ind(G[W - N[v]]), and D meets v*L
+      in L.  The Mayer-Vietoris sequence of augmented chains, exact for
+      the empty complex too, runs
+      H_k(L) -> H_k(D) -> H_k(Ind(G[W])) -> H_{k-1}(L) -> H_{k-1}(D).
+      When no degree has both H_k(L) and H_k(D) nonzero, the maps out of
+      H(L) are zero, the sequence splits, and over every field
+      h[W]_t = h[W-v]_t + h[W-N[v]]_{t-1}.  The lowest such v is used.
+    - only when every v collides are the facets of Ind(G[W]), the
+      complements in W of the minimal vertex covers of its edges, built
+      and passed to the kernel.
+    """
+    union = 0
+    for e in edges:
+        union |= e
+    edges = compress(edges, union)
+    near: dict[int, int] = {}
     for e in edges:
         u = e & -e
-        v = e ^ u
-        adj[u] = adj.get(u, 0) | v
-        adj[v] = adj.get(v, 0) | u
-    return adj
+        near[u] = near.get(u, 0) | e ^ u
+        near[e ^ u] = near.get(e ^ u, 0) | u
+    shapes: list[tuple[int, ...]] = [(), (1,)]
+    ids = {(): 0, (1,): 1}
+    # bit t is set when the dims at t are nonzero
+    support = [0, 1]
+    joined: dict[tuple[int, int], int] = {}
 
+    def intern(dims) -> int:
+        dims = tuple(dims)
+        while dims and not dims[-1]:
+            dims = dims[:-1]
+        s = ids.get(dims)
+        if s is None:
+            s = ids[dims] = len(shapes)
+            shapes.append(dims)
+            support.append(sum(1 << t for t, d in enumerate(dims) if d))
+        return s
 
-def _fold(adj: dict[int, int], w: int) -> int:
-    """Vertex mask of a fold core of the induced graph G[W], for W inside
-    the union of the edges.
-
-    The fold lemma (Engstrom, "Independence complexes of claw-free graphs",
-    2008): if N(u) is inside N(v) for u != v, then Ind(G) and Ind(G - v)
-    are homotopy equivalent.  Such a v is never adjacent to u, so deleting
-    it leaves N(u) alone, and every such v of one u, all vertices adjacent
-    to every neighbour of u, goes at once.  Sweeps repeat until one deletes
-    nothing.  A vertex with no neighbour folds away all the others: a core
-    of one vertex is a point.
-    """
-    core = w
-    changed = True
-    while changed:
-        changed = False
-        rest = core
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            common = core
-            nbrs = adj[u] & core
-            while nbrs:
-                x = nbrs & -nbrs
-                nbrs ^= x
-                common &= adj[x]
-            common ^= u
-            if common:
-                core ^= common
-                rest &= core
-                changed = True
-    return core
-
-
-def _graph_restriction(edges: list[int], p: int):
-    """Reduced homology dims of Ind(G[W]) for the graph with these edge
-    masks, or () when W is not a union of edges or G[W] folds to a point.
-
-    Many W fold to the same core, and many cores have one shape, so each
-    call keeps its cores' dims in two dicts: by vertex mask, which saves
-    compressing the core again, and by support-compressed adjacency rows,
-    which saves building its facets again.  The facets of Ind(G[core]),
-    the maximal independent sets, are the complements in the core of the
-    minimal vertex covers of its edges; Berge's method meets the edges
-    in order of their lower, then higher vertex, which keeps it fast."""
-    edges = sorted(edges, key=lambda e: (e & -e, e))
-    adj = _adjacency(edges)
-    seen: dict[int, tuple[int, ...]] = {}
-    shapes: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def dims(w: int) -> tuple[int, ...]:
+    table = [0] * (1 << union.bit_count())
+    table[0] = 1
+    for w in range(1, len(table)):
         rest = w
         while rest:
             v = rest & -rest
-            if not adj[v] & w:
-                return ()
             rest ^= v
-        core = _fold(adj, w)
-        if not core & (core - 1):
-            return ()
-        if core not in seen:
-            shape = _compressed(adj, core)
-            if shape not in shapes:
-                covers = minimal_transversals(e for e in edges
-                                              if e & core == e)
-                shapes[shape] = kernel.homology_dims(
-                    [core & ~t for t in covers], p)
-            seen[core] = shapes[shape]
-        return seen[core]
-    return dims
-
-
-def _compressed(adj: dict[int, int], core: int) -> tuple[int, ...]:
-    """Neighbour masks of G[core] with its k-th lowest vertex as vertex k."""
-    rows = []
-    rest = core
-    while rest:
-        v = rest & -rest
-        rows.append(adj[v] & core)
-        rest ^= v
-    return tuple(compress(rows, core))
+            nv = near[v]
+            if not nv & w:
+                break  # a cone: table[w] stays 0
+            a = table[w & ~(nv | v)]
+            b = table[w ^ v]
+            if not a:
+                # a zero link adds nothing to the deletion
+                table[w] = b
+                break
+            if not support[a] & support[b]:
+                s = joined.get((a, b))
+                if s is None:
+                    s = joined[a, b] = intern(map(sum, zip_longest(
+                        (0,) + shapes[a], shapes[b], fillvalue=0)))
+                table[w] = s
+                break
+        else:
+            covers = minimal_transversals(e for e in edges if e & w == e)
+            table[w] = intern(kernel.homology_dims(
+                [w & ~t for t in covers], p))
+    return table, shapes
 
 
 def koszul_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:

@@ -96,6 +96,17 @@ def test_betti_refuses_a_graph_too_large_for_the_oracle(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_betti_refuses_a_graph_one_vertex_past_the_limit(tmp_path, capsys):
+    # the oracle's table has one entry per subset of the 25 path vertices
+    p = tmp_path / "p25.g"
+    p.write_text("n 25\n" + "".join(f"{v} {v + 1}\n" for v in range(24)))
+    assert main(["betti", "--graph", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the Hochster formula visits 2^25 vertex subsets; "
+                   "the limit is 24 vertices\n")
+
+
 def test_betti_oracle_counts_only_the_variables_of_the_generators(
         tmp_path, capsys):
     # x0*x1, x1*x2 in 35 variables: the Hochster loop visits 2^3 subsets

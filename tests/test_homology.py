@@ -14,14 +14,14 @@ from vertexsplit.complexes import (complex_of_ideal, from_facet_masks,
                                    from_facets, restrict_masks, simplex,
                                    stanley_reisner_ideal)
 from vertexsplit.corpus import all_squarefree_ideals, random_complex
-from vertexsplit.graphs import (cycle_graph, delete_vertices, edge_ideal,
-                                graph, independence_complex, path_graph)
+from vertexsplit.graphs import (cycle_graph, edge_ideal, graph,
+                                independence_complex, path_graph)
 from vertexsplit.homology import (FieldChoice, QQ, betti_table,
                                   has_linear_resolution, hochster_betti,
                                   is_cohen_macaulay, koszul_betti,
                                   parse_field, reduced_homology_dims)
 from vertexsplit.monomials import (MonomialIdeal, canonical_supports,
-                                   minimalize, mono_from_mask, support_masks,
+                                   compress, minimalize, mono_from_mask, support_masks,
                                    unit_ideal, variable_ideal, zero_ideal)
 
 GF2 = FieldChoice.prime(2)
@@ -255,13 +255,28 @@ def test_edge_ideals_fold_to_the_facet_route_table(G, p):
         assert table == koszul_betti(I, field)
 
 
-def fold_core(G):
-    """The fold core of a graph with no isolated vertex, as an induced
-    subgraph, with its vertex mask."""
-    adj = homology._adjacency(1 << u | 1 << v for u, v in G.edges)
-    core = homology._fold(adj, (1 << G.n) - 1)
-    return core, delete_vertices(
-        G, [v for v in range(G.n) if not core >> v & 1])
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The facet lists passed to `kernel.homology_dims` during a test."""
+    calls = []
+    homology_dims = kernel.homology_dims
+
+    def spy(facets, p):
+        calls.append(list(facets))
+        return homology_dims(calls[-1], p)
+    monkeypatch.setattr(kernel, "homology_dims", spy)
+    return calls
+
+
+def edge_masks(G):
+    return [1 << u | 1 << v for u, v in G.edges]
+
+
+def recursion_homology(G, p=0):
+    """Nonzero reduced homology of Ind(G) from the subset recursion, for a
+    graph with every vertex on an edge."""
+    table, shapes = homology._independence_table(edge_masks(G), p)
+    return {t - 1: d for t, d in enumerate(shapes[table[-1]]) if d}
 
 
 def nonzero_homology(G):
@@ -269,58 +284,105 @@ def nonzero_homology(G):
     return {k: d for k, d in dims.items() if d}
 
 
-def test_cycles_keep_their_core():
-    # no neighbourhood of a cycle on five or more vertices lies inside
-    # another: Ind(C5) is a circle and Ind(C6) a wedge of two
-    for n, homology_of_core in ((5, {1: 1}), (6, {1: 2})):
+def test_cycles_need_no_kernel_call(kernel_calls):
+    # Ind(C5) is a circle and Ind(C6) a wedge of two
+    for n, want in ((5, {1: 1}), (6, {1: 2})):
         G = cycle_graph(n)
-        core, _ = fold_core(G)
-        assert core == (1 << n) - 1
-        assert nonzero_homology(G) == homology_of_core
+        assert recursion_homology(G) == want
+        assert kernel_calls == []
+        assert nonzero_homology(G) == want
+        kernel_calls.clear()
 
 
-def test_paths_fold_to_a_point_or_a_matching():
-    # P3 folds to one edge, P4 to a point, P5 to two disjoint edges
-    cores = {}
+def test_paths_need_no_kernel_call(kernel_calls):
+    # Ind(P_n) is a point for n = 3k + 1, else a (k - 1)-sphere for
+    # n = 3k - 1 or 3k (Kozlov)
     for n in range(2, 10):
         G = path_graph(n)
-        core, H = fold_core(G)
-        cores[n] = core.bit_count(), len(H.edges)
-        if core.bit_count() == 1:
-            assert nonzero_homology(G) == {}
-        else:
-            # every core vertex has one neighbour: Ind is a join of
-            # 0-spheres, one per edge of the matching
-            assert all(d == 1 for d in map(len, H.adjacency()))
-            assert nonzero_homology(G) == {len(H.edges) - 1: 1}
-            assert nonzero_homology(H) == nonzero_homology(G)
-    assert cores[3] == (2, 1) and cores[4] == (1, 0) and cores[5] == (4, 2)
+        want = {} if n % 3 == 1 else {(n + 1) // 3 - 1: 1}
+        assert recursion_homology(G) == want
+        assert kernel_calls == []
+        assert nonzero_homology(G) == want
+        kernel_calls.clear()
 
 
-def test_a_pendant_vertex_folds_away_its_neighbours_other_neighbours():
+def test_a_pendant_vertex_needs_no_kernel_call(kernel_calls):
     # 0 hangs from 1; 1 also meets 2, 3 and 4, which lie on the 5-cycle
-    # 2-3-5-6-4 with a chord 3-4 and a tail 6-7
+    # 2-3-5-6-4 with a chord 3-4 and a tail 6-7.  Ind(G) is the
+    # suspension of Ind(G - N[1]), and G - N[1] is the path 5-6-7, whose
+    # Ind is two points: a circle
     G = graph(8, [(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (3, 5), (5, 6),
                   (6, 4), (4, 2), (3, 4), (6, 7)])
-    core, H = fold_core(G)
-    assert core & 0b11100 == 0
-    assert core & 0b11 == 0b11
-    # what is left folds to the edges 0-1 and 5-6, and Ind is a circle
-    assert nonzero_homology(H) == nonzero_homology(G) == {1: 1}
+    assert recursion_homology(G) == {1: 1}
+    assert kernel_calls == []
+    assert nonzero_homology(G) == {1: 1}
 
 
-def test_edge_ideal_cores_are_shared_across_calls_by_the_homology_memo():
-    # each call keeps its cores in per-call dicts only, so a second call
-    # finds every core's dims in the kernel memo
+def test_cycle_tables_need_no_kernel_call_and_hit_the_table_memo(
+        kernel_calls):
     I = edge_ideal(cycle_graph(7))
     clear_caches()
-    first = hochster_betti(I)
-    before = cache_info()["homology"]
-    assert before.misses
-    assert hochster_betti(I) == first
-    after = cache_info()["homology"]
+    first = betti_table(I)
+    assert kernel_calls == []
+    before = cache_info()["tables"]
+    assert betti_table(I) == first
+    after = cache_info()["tables"]
     assert after.misses == before.misses
-    assert after.hits > before.hits
+    assert after.hits == before.hits + 1
+
+
+# 5-regular on eight vertices; Ind(G) has H_0 = 1 and H_1 = 2, and at
+# W = V every vertex's link and deletion share a nonzero degree
+REGULAR8 = graph(8, [(int(e[0]), int(e[1])) for e in (
+    "06 13 05 47 56 14 34 04 25 57 16 26 15 37 17 02 23 03 67 24").split()])
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_the_kernel_fallback_runs_only_where_every_vertex_collides(
+        kernel_calls, p):
+    table, shapes = homology._independence_table(edge_masks(REGULAR8), p)
+    full = len(table) - 1
+    assert shapes[table[full]] == (0, 1, 2)
+    for u, row in enumerate(REGULAR8.adjacency()):
+        link = shapes[table[full & ~sum(1 << v for v in {u, *row})]]
+        deletion = shapes[table[full ^ 1 << u]]
+        assert any(a and b for a, b in zip(link, deletion))
+    kernel_calls.clear()
+    field = FieldChoice(p)
+    I = edge_ideal(REGULAR8)
+    table = hochster_betti(I, field)
+    assert len(kernel_calls) == 1
+    assert reduce(or_, kernel_calls[0]) == full
+    assert table == koszul_betti(I, field)
+
+
+@st.composite
+def covered_graphs(draw):
+    """The edge masks of a graph on at most 9 vertices, every vertex on
+    an edge."""
+    n = draw(st.integers(2, 9))
+    density = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8]))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [1 << u | 1 << v for u, v in combinations(range(n), 2)
+             if rng.random() < density] or [0b11]
+    return compress(edges, reduce(or_, edges))
+
+
+def independent_facets(edges, w):
+    """Maximal independent subsets of w, by brute force."""
+    independent = [s for s in range(w + 1) if s & w == s
+                   and not any(e & s == e for e in edges)]
+    return [s for s in independent
+            if not any(s != t and s & t == s for t in independent)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(covered_graphs(), st.sampled_from([0, 2, 3]))
+def test_the_recursion_is_exact_at_every_vertex_set(edges, p):
+    table, shapes = homology._independence_table(edges, p)
+    for w, s in enumerate(table):
+        dims = kernel.homology_dims(independent_facets(edges, w), p)
+        assert shapes[s] + (0,) * (len(dims) - len(shapes[s])) == dims
 
 
 def test_tables_past_the_relabeling_budget_keep_the_labelled_key():

@@ -12,7 +12,7 @@ import vertexsplit
 from conftest import fraction_rank, mi
 from vertexsplit import homology, kernel
 from vertexsplit import _kernel_py
-from vertexsplit.graphs import cover_ideal, cycle_graph, edge_ideal, path_graph
+from vertexsplit.graphs import cover_ideal, cycle_graph, path_graph
 from vertexsplit.monomials import is_squarefree
 
 
@@ -78,7 +78,9 @@ def test_homology_rejects_void_complex():
 
 def test_kernel_caches_clear():
     vertexsplit.clear_caches()
-    I = cover_ideal(path_graph(4))
+    # cover ideals with a cubic generator take the facet route, which
+    # fills the homology memo; edge ideals need no kernel call
+    I = cover_ideal(path_graph(5))
     vertexsplit.vertex_split(I)
     vertexsplit.betti_table(I)
     vertexsplit.vertex_decomposable(vertexsplit.complex_of_ideal(I))
@@ -92,13 +94,13 @@ def test_kernel_caches_clear():
     assert sizes["homology"] == 0
     assert all(sizes[name] for name in ("tables", "split", "decomposition"))
     # the oracle's reset empties its memo and the kernel's
-    vertexsplit.betti_table(edge_ideal(cycle_graph(5)))
+    vertexsplit.betti_table(cover_ideal(cycle_graph(5)))
     homology.clear_caches()
     sizes = {name: c.currsize for name, c in vertexsplit.cache_info().items()}
     assert sizes["homology"] == sizes["tables"] == 0
     assert sizes["split"] and sizes["decomposition"]
     # the package-level reset empties all four
-    vertexsplit.betti_table(edge_ideal(cycle_graph(5)))
+    vertexsplit.betti_table(cover_ideal(cycle_graph(5)))
     info = vertexsplit.cache_info()
     assert info["tables"].currsize and info["homology"].currsize
     vertexsplit.clear_caches()
