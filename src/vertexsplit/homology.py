@@ -139,10 +139,8 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
         counts = Counter(zip(map(int.bit_count, range(len(table))), table))
         restrictions = ((j, shapes[s], c) for (j, s), c in counts.items())
     else:
-        restriction = _facet_restriction(complex_of_ideal(I).facets,
-                                         supports, field.char)
-        restrictions = ((w.bit_count(), restriction(w), 1)
-                        for w in _submasks(union))
+        restrictions = _facet_restrictions(complex_of_ideal(I).facets,
+                                           supports, union, field.char)
     entries: dict[tuple[int, int], int] = {}
     for j, dims, c in restrictions:
         for t, d in enumerate(dims):
@@ -152,25 +150,19 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     return make_table(entries, "ideal")
 
 
-def _submasks(union: int):
-    """The non-empty submasks of union, in increasing order."""
+def _facet_restrictions(facets, supports: list[int], union: int, p: int):
+    """(|W|, reduced homology dims of the restriction to W, 1) for each W
+    in the lcm lattice, the non-empty unions of supports, in increasing
+    order of W among the submasks of the union of all supports."""
     w = 0
     while w := (w - union) & union:
-        yield w
-
-
-def _facet_restriction(facets, supports: list[int], p: int):
-    """Reduced homology dims of the restriction of the complex with these
-    facets to W, or () when W is not a union of supports."""
-    def dims(w: int) -> tuple[int, ...]:
-        union = 0
+        lattice = 0
         for g in supports:
             if g & w == g:
-                union |= g
-        if union != w:
-            return ()
-        return kernel.homology_dims(restrict_masks(facets, w), p)
-    return dims
+                lattice |= g
+        if lattice == w:
+            yield (w.bit_count(),
+                   kernel.homology_dims(restrict_masks(facets, w), p), 1)
 
 
 def _independence_table(edges: list[int], p: int):
