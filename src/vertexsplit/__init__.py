@@ -50,10 +50,9 @@ def cache_info() -> dict:
 
     `homology` is keyed by support-compressed facet masks; edge ideals
     reach it only at the rare vertex sets where the Hochster recursion
-    falls back to the kernel.  Square-free `tables` are keyed by their labelled
-    generators and by the canonical form up to relabeling, so a table
-    computed for a relabeling of the ideal counts as one miss plus one
-    hit."""
+    falls back to the kernel.  `tables` are keyed by the labelled
+    generators and the field, so each relabeling of an ideal is a miss of
+    its own."""
     return {"homology": _kernel_py._dims_of_key.cache_info(),
             "tables": homology._table.cache_info(),
             "split": splitting._split.cache_info(),

@@ -14,7 +14,7 @@ from typing import Iterator
 from .complexes import SimplicialComplex, empty_complex, from_facet_masks
 from .graphs import Graph
 from .monomials import (Monomial, MonomialIdeal, colon, intersect, mono_mul,
-                        squarefree_ideal)
+                        squarefree_ideal, variable, x_partition)
 from .splitting import (InvalidSplitTree, SplitLeaf, SplitNode, SplitTree,
                         _node_gens)
 
@@ -84,11 +84,6 @@ def _random_monomial(variables: tuple[int, ...], n: int, rng: Random,
     return tuple(exps)
 
 
-def _avoiding(I: MonomialIdeal, y: int) -> MonomialIdeal:
-    """Subideal spanned by the generators of I not involving x_y."""
-    return MonomialIdeal(I.num_vars, frozenset(g for g in I.gens if g[y] == 0))
-
-
 def _sample_contained(variables: tuple[int, ...], target: MonomialIdeal,
                       rng: Random, depth: int
                       ) -> tuple[SplitTree, tuple[Monomial, ...]]:
@@ -110,15 +105,15 @@ def _sample_contained(variables: tuple[int, ...], target: MonomialIdeal,
     y = rng.choice(variables)
     rest = tuple(v for v in variables if v != y)
     # anything inside (target : y) and free of y can be multiplied by y and
-    # stay inside target
-    quotient = _avoiding(
-        colon(target, tuple(1 if k == y else 0 for k in range(n))), y)
+    # stay inside target; both ideals partitioned at y are nonzero
+    quotient = x_partition(colon(target, variable(n, y)), y)[1]
     left, left_gens = _sample_contained(rest, quotient, rng, depth - 1)
     if not left_gens:
         return SplitLeaf(None), ()
     left_ideal = MonomialIdeal(n, frozenset(left_gens))
     right, right_gens = _sample_contained(
-        rest, _avoiding(intersect(left_ideal, target), y), rng, depth - 1)
+        rest, x_partition(intersect(left_ideal, target), y)[1], rng,
+        depth - 1)
     return SplitNode(y, left, right), _node_gens(y, left_gens, right_gens, n)
 
 

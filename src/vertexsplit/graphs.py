@@ -17,8 +17,9 @@ from .complexes import (SimplicialComplex, alexander_dual_complex,
 from .decomposition import is_shedding, vertex_decomposable
 from .homology import (FieldChoice, QQ, betti_table, has_linear_resolution,
                        is_cohen_macaulay)
-from .monomials import (MonomialIdeal, intersect, squarefree_ideal,
-                        unit_ideal, variable_ideal)
+from .monomials import (MonomialIdeal, intersect, mono_from_mask,
+                        squarefree_ideal, unit_ideal, unit_monomial,
+                        variable, variable_ideal)
 from .splitting import SplitLeaf, SplitNode, SplitTree, vertex_split
 
 
@@ -287,9 +288,9 @@ def _variable_tree(indices: tuple[int, ...], n: int) -> SplitTree:
     if not indices:
         return SplitLeaf(None)
     if len(indices) == 1:
-        return SplitLeaf(tuple(1 if k == indices[0] else 0 for k in range(n)))
-    unit = (0,) * n
-    return SplitNode(indices[0], SplitLeaf(unit), _variable_tree(indices[1:], n))
+        return SplitLeaf(variable(n, indices[0]))
+    return SplitNode(indices[0], SplitLeaf(unit_monomial(n)),
+                     _variable_tree(indices[1:], n))
 
 
 def _chordal_split_recurse(G: Graph, active: tuple[int, ...]) -> SplitTree:
@@ -300,7 +301,7 @@ def _chordal_split_recurse(G: Graph, active: tuple[int, ...]) -> SplitTree:
         return SplitLeaf(None)
     if len(comp_edges) == 1:
         u, v = comp_edges[0]
-        return SplitLeaf(tuple(1 if k in (u, v) else 0 for k in range(G.n)))
+        return SplitLeaf(mono_from_mask(1 << u | 1 << v, G.n))
     adj = G.adjacency()
     x = None
     for v in active:

@@ -30,9 +30,8 @@ from . import kernel
 from .betti import BettiTable, make_table
 from .complexes import (SimplicialComplex, complex_of_ideal, dual_facet_ideal,
                         restrict_masks)
-from .monomials import (MonomialIdeal, canonical_supports, compress, degree,
-                        is_squarefree, minimal_transversals, squarefree_ideal,
-                        support_masks)
+from .monomials import (MonomialIdeal, compress, degree, is_squarefree,
+                        minimal_transversals, support_masks)
 
 
 def _is_prime(p: int) -> bool:
@@ -264,11 +263,8 @@ def betti_table(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     Square-free ideals other than the unit ideal go through the
     subset-restriction formula, all others through the upper Koszul route;
     the two agree on the overlap and tests enforce that.  The zero ideal
-    has the empty table.  A square-free table is keyed by the canonical
-    form of the generator supports up to relabeling (`canonical_supports`),
-    unless that form is over its search budget; every relabeling then
-    shares one table, and a hit on the class of an ideal not yet seen with
-    its own labels counts as one miss plus one hit in `cache_info`.
+    has the empty table.  Tables are memoized under the labelled
+    generators, so a relabeling of an ideal already seen is a miss.
     """
     if I.is_zero:
         return make_table({}, "ideal")
@@ -277,24 +273,11 @@ def betti_table(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
 
 @lru_cache(maxsize=kernel.MEMO_SIZE)
 def _table(n: int, gens: tuple, p: int) -> BettiTable:
-    """`betti_table` of the nonzero ideal with these sorted generators, or
-    of the square-free ideal with this canonical tuple of support masks.
-
-    Graded Betti numbers do not change when the variables are permuted, so
-    a square-free ideal other than the unit ideal is looked up again under
-    the canonical form of its generator supports, when there is one: all
-    its relabelings share one Hochster table.  The form is computed once
-    per labelled miss; a key of masks is already canonical.
-    """
-    if isinstance(gens[0], int):
-        return hochster_betti(squarefree_ideal(gens, n), FieldChoice(p))
+    """`betti_table` of the nonzero ideal with these sorted generators."""
     I = MonomialIdeal(n, frozenset(gens))
-    if not is_squarefree(I) or I.is_unit:
-        return koszul_betti(I, FieldChoice(p))
-    canonical = canonical_supports(support_masks(I))
-    if canonical is None:
+    if is_squarefree(I) and not I.is_unit:
         return hochster_betti(I, FieldChoice(p))
-    return _table(n, canonical, p)
+    return koszul_betti(I, FieldChoice(p))
 
 
 def has_linear_resolution(I: MonomialIdeal, field: FieldChoice = QQ) -> bool:

@@ -20,8 +20,6 @@ imports no other module of the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations, product
-from math import factorial
 from operator import lshift
 from typing import Iterable
 
@@ -129,100 +127,6 @@ def minimal_transversals(masks: Iterable[int]) -> frozenset[int]:
         transversals = kept + [u for u in grown
                                if not any(k & u == k for k in kept)]
     return frozenset(transversals)
-
-
-# `canonical_supports` gives up past this many relabelings
-_MAX_RELABELINGS = 720
-
-
-def canonical_supports(masks: Iterable[int]) -> tuple[int, ...] | None:
-    """Canonical form of a family of masks up to relabeling the vertices,
-    or None when more than `_MAX_RELABELINGS` relabelings would be searched.
-
-    The union of the masks is compressed to vertices 0..s-1; vertices
-    outside it are never permuted.  Colour refinement then splits the
-    vertices into cells: all start with one colour, and each round
-    recolours a vertex by the rank of its signature, its colour with the
-    sorted colour multisets of the masks through it (in the first round,
-    just their sizes), until no cell splits.  Colours are ranks of
-    signatures, never vertex indices, so a relabeling maps cells onto the
-    cells of the same colour.  The form is the least sorted tuple of
-    relabelled masks over every ordering inside the cells, the cells taken
-    in colour order: two families get equal forms exactly when some
-    relabeling maps one onto the other.  Orderings that differ only by
-    swapping twins, vertices whose swap fixes the family, are searched once.
-    """
-    family = list(masks)
-    support = 0
-    for m in family:
-        support |= m
-    compact = compress(family, support)
-    members = [[k for k in range(m.bit_length()) if m >> k & 1]
-               for m in compact]
-    s = support.bit_count()
-    through = [[] for _ in range(s)]
-    for k, vertices in enumerate(members):
-        for v in vertices:
-            through[v].append(k)
-    colours = [0] * s
-    count = min(s, 1)
-    while True:
-        mask_colours = [tuple(sorted([colours[u] for u in vertices]))
-                        for vertices in members]
-        signatures = [
-            (colours[v], tuple(sorted([mask_colours[k] for k in through[v]])))
-            for v in range(s)]
-        rank = {sig: k for k, sig in enumerate(sorted(set(signatures)))}
-        colours = [rank[sig] for sig in signatures]
-        # a colour leads its signature, so cells only ever split
-        if len(rank) == count:
-            break
-        count = len(rank)
-    cells = [[] for _ in range(count)]
-    for v, c in enumerate(colours):
-        cells[c].append(v)
-    relabelings = 1
-    for cell in cells:
-        relabelings *= factorial(len(cell))
-    if relabelings > _MAX_RELABELINGS:
-        return None
-    # two vertices of a cell are twins when swapping them maps the family
-    # onto itself; orderings that differ by such swaps give equal forms, so
-    # each cell orders its classes of twins, not its vertices.  Being twins
-    # is an equivalence (u~w and w~x give (u x) = (u w)(w x)(u w)), so one
-    # member stands for its class.
-    compressed = set(compact)
-    orderings = []
-    for cell in cells:
-        twins = []
-        for v in cell:
-            for group in twins:
-                swap = 1 << group[0] | 1 << v
-                if all(m & swap in (0, swap) or m ^ swap in compressed
-                       for m in compressed):
-                    group.append(v)
-                    break
-            else:
-                twins.append([v])
-        if len(twins) == 1:
-            orderings.append([cell])
-            continue
-        labels = [k for k, group in enumerate(twins) for _ in group]
-        orders = []
-        for sequence in set(permutations(labels)):
-            pools = [iter(group) for group in twins]
-            orders.append([next(pools[k]) for k in sequence])
-        orderings.append(orders)
-    best = None
-    bit = [0] * s
-    relabel = bit.__getitem__
-    for orders in product(*orderings):
-        for k, v in enumerate(chain.from_iterable(orders)):
-            bit[v] = 1 << k
-        form = sorted([sum(map(relabel, vertices)) for vertices in members])
-        if best is None or form < best:
-            best = form
-    return tuple(best)
 
 
 @dataclass(frozen=True)

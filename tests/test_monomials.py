@@ -1,19 +1,16 @@
-from itertools import permutations
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import ideals_equal_by_membership, member, mi, sq
-from vertexsplit.corpus import all_squarefree_ideals
 from vertexsplit.monomials import (MonomialIdeal, _max_antichain,
-                                   alexander_dual_ideal, canonical_supports,
-                                   colon, divides, intersect, is_squarefree,
-                                   is_subideal, minimal_transversals,
-                                   minimalize, mono_from_mask, multiply,
-                                   squarefree_ideal, support_masks,
-                                   unit_ideal, variable, x_partition,
-                                   zero_ideal)
+                                   alexander_dual_ideal, colon, divides,
+                                   intersect, is_squarefree, is_subideal,
+                                   minimal_transversals, minimalize,
+                                   mono_from_mask, multiply, squarefree_ideal,
+                                   support_masks, unit_ideal, variable,
+                                   x_partition, zero_ideal)
 
 
 def test_minimalize_absorbs_multiples():
@@ -246,42 +243,3 @@ def test_multiply_preserves_antichain():
     I = sq("xy", "yz")
     xI = multiply(I, variable(3, 0))
     assert xI.gens == {(2, 1, 0), (1, 1, 1)}
-
-
-def relabel(masks, perm):
-    """The masks with vertex v renamed perm[v]."""
-    return frozenset(sum(1 << perm[v] for v in range(len(perm)) if m >> v & 1)
-                     for m in masks)
-
-
-def test_canonical_supports_match_brute_force_isomorphism():
-    # two ideals get equal keys exactly when a permutation of the n
-    # variables maps one onto the other, found by listing each orbit
-    for n in range(1, 6):
-        perms = list(permutations(range(n)))
-        orbit_of = {}
-        keys_of = {}
-        for I in all_squarefree_ideals(n):
-            family = frozenset(support_masks(I))
-            if family not in orbit_of:
-                orbit = len(keys_of)
-                keys_of[orbit] = set()
-                for perm in perms:
-                    orbit_of[relabel(family, perm)] = orbit
-            keys_of[orbit_of[family]].add(canonical_supports(family))
-        keys = [key for orbit_keys in keys_of.values() for key in orbit_keys]
-        assert None not in keys
-        assert len(keys) == len(set(keys)) == len(keys_of)
-
-
-def test_canonical_supports_search_past_refinement():
-    # C6 and two disjoint triangles are both 2-regular: refinement leaves
-    # one cell of six vertices, and only the search tells them apart
-    c6 = [0b000011, 0b000110, 0b001100, 0b011000, 0b110000, 0b100001]
-    two_k3 = [0b000011, 0b000110, 0b000101, 0b011000, 0b110000, 0b101000]
-    key = canonical_supports(c6)
-    assert key is not None and key != canonical_supports(two_k3)
-    assert canonical_supports(relabel(c6, (3, 0, 5, 1, 4, 2))) == key
-    # the support is compressed: vertices outside it are never counted
-    assert canonical_supports([m << 3 for m in c6]) == key
-    assert canonical_supports([]) == ()
