@@ -22,7 +22,10 @@ from typing import Iterable
 from .monomials import (MonomialIdeal, _max_antichain, compress,
                         minimal_transversals, squarefree_ideal, support_masks)
 
-MAX_VERTICES = 63  # faces are stored in machine-word bitmasks
+# The one input-size bound: parsers refuse a file that declares or implies
+# more vertices or variables before allocating for them, and no complex has
+# a larger ground set.  Test and benchmark inputs have at most 40 vertices.
+MAX_VERTICES = 63
 
 
 def _mask_of(vertices: Iterable[int], n: int) -> int:

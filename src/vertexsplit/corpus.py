@@ -18,6 +18,7 @@ from .monomials import (Monomial, MonomialIdeal, colon, intersect, mono_mul,
 from .splitting import (InvalidSplitTree, SplitLeaf, SplitNode, SplitTree,
                         _node_gens)
 
+_MAX_TRIES = 200  # samples drawn before random_splittable_ideal gives up
 
 def _antichain_families(n: int) -> Iterator[tuple[int, ...]]:
     """Nonempty antichains of nonempty subsets of {0..n-1}, as mask tuples."""
@@ -114,7 +115,7 @@ def _sample_contained(variables: tuple[int, ...], target: MonomialIdeal,
     right, right_gens = _sample_contained(
         rest, x_partition(intersect(left_ideal, target), y)[1], rng,
         depth - 1)
-    return SplitNode(y, left, right), _node_gens(y, left_gens, right_gens, n)
+    return SplitNode(y, left, right), _node_gens(y, left_gens, right_gens)
 
 
 def _sample_split(variables: tuple[int, ...], n: int, rng: Random,
@@ -129,12 +130,11 @@ def _sample_split(variables: tuple[int, ...], n: int, rng: Random,
     left, left_gens = _sample_split(rest, n, rng, depth - 1)
     left_ideal = MonomialIdeal(n, frozenset(left_gens))
     right, right_gens = _sample_contained(rest, left_ideal, rng, depth - 1)
-    return SplitNode(x, left, right), _node_gens(x, left_gens, right_gens, n)
+    return SplitNode(x, left, right), _node_gens(x, left_gens, right_gens)
 
 
-def random_splittable_ideal(
-        n: int, rng: Random, max_gens: int = 12,
-        max_tries: int = 200) -> tuple[MonomialIdeal, SplitTree]:
+def random_splittable_ideal(n: int, rng: Random, max_gens: int = 12
+                            ) -> tuple[MonomialIdeal, SplitTree]:
     """A random vertex splittable ideal with its certificate.
 
     Certificate trees are sampled directly; samples whose rebuilt
@@ -145,7 +145,7 @@ def random_splittable_ideal(
         raise ValueError(f"no ideal in {n} variables has between 1 and "
                          f"{max_gens} generators")
     variables = tuple(range(n))
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         try:
             tree, gens = _sample_split(variables, n, rng, depth=n)
         except InvalidSplitTree:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .complexes import SimplicialComplex, from_facets, mask_to_set
+from .complexes import MAX_VERTICES, SimplicialComplex, from_facets, mask_to_set
 from .decomposition import DecompositionTree, SimplexLeaf
 from .graphs import Graph, ScmCertificate, ScmLeaf, graph
 from .monomials import Monomial, MonomialIdeal, minimalize
@@ -21,6 +21,13 @@ from .splitting import LinearQuotientOrder, SplitLeaf, SplitTree
 
 class ParseError(ValueError):
     pass
+
+
+def _check_size(count: int, what: str) -> int:
+    """The declared or implied size count; ParseError above MAX_VERTICES."""
+    if count > MAX_VERTICES:
+        raise ParseError(f"{count} {what} exceed the limit of {MAX_VERTICES}")
+    return count
 
 
 def default_names(n: int) -> tuple[str, ...]:
@@ -79,6 +86,7 @@ def _take_header(lines: list[str], expected_kind: str) -> tuple[list[str], list[
         lowered = lines[idx].lower()
         if lowered.startswith(("vars:", "vertices:", "names:")):
             names = lines[idx].split(":", 1)[1].split()
+            _check_size(len(names), "declared names")
             if len(set(names)) != len(names):
                 raise ParseError("duplicate names declared")
             idx += 1
@@ -110,7 +118,7 @@ def parse_ideal(text: str) -> tuple[MonomialIdeal, tuple[str, ...]]:
                         f"undeclared variable in {line!r}; add a vars: line "
                         "or use x1, x2, ...")
                 top = max(top, int(implicit.group(1)))
-        names = list(default_names(top))
+        names = list(default_names(_check_size(top, "variables")))
     else:
         names = declared
     index = {name: i for i, name in enumerate(names)}
@@ -138,8 +146,8 @@ def parse_complex(text: str) -> tuple[SimplicialComplex, tuple[str, ...]]:
         else:
             facet_labels.append([tok.strip() for tok in line.split(",") if tok.strip()])
     if declared is None:
-        seen = sorted({v for facet in facet_labels for v in facet})
-        names = seen
+        names = sorted({v for facet in facet_labels for v in facet})
+        _check_size(len(names), "vertex labels")
     else:
         names = declared
     index = {name: i for i, name in enumerate(names)}
@@ -174,7 +182,7 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
     if declared is None:
         if not items or not items[0].startswith("n "):
             raise ParseError("edge lists start with a header line `n <count>`")
-        n = int(items[0].split()[1])
+        n = _check_size(int(items[0].split()[1]), "vertices")
         items = items[1:]
         vertex = int
     else:

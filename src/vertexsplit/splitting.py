@@ -24,9 +24,8 @@ from .betti import BettiTable, add_shifted, make_table
 from .homology import FieldChoice, QQ, betti_table
 from .kernel import MEMO_SIZE
 from .monomials import (Monomial, MonomialIdeal, colon, degree, divides,
-                        intersect, is_squarefree, is_subideal, minimalize,
-                        mono_from_mask, mono_gcd, mono_div, mono_mul, multiply,
-                        variable, variable_ideal)
+                        intersect, is_squarefree, minimalize, mono_from_mask,
+                        mono_gcd, mono_div, variable_ideal)
 
 
 @dataclass(frozen=True)
@@ -155,30 +154,29 @@ def _rebuild(tree: SplitTree, n: int, nodes: Optional[list] = None
         nodes.append(None)
     left, left_sets = _rebuild(tree.left, n, nodes)
     right, right_sets = _rebuild(tree.right, n, nodes)
-    gens = _node_gens(x, left, right, n)
+    gens = _node_gens(x, left, right)
     if nodes is not None:
         nodes[slot] = (tree, MonomialIdeal(n, frozenset(gens)))
     return gens, left_sets + tuple(s | {x} for s in right_sets)
 
 
-def _node_gens(x: int, left: tuple[Monomial, ...], right: tuple[Monomial, ...],
-               n: int) -> tuple[Monomial, ...]:
+def _node_gens(x: int, left: tuple[Monomial, ...],
+               right: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
     """Generators of x*I1 + I2, in quotient order, from the replayed
     generators of I1 and I2; raises InvalidSplitTree unless the split
     conditions hold at this node."""
     if any(g[x] for g in left) or any(g[x] for g in right):
         raise InvalidSplitTree("split parts must avoid the split variable")
-    factor, summand = frozenset(left), frozenset(right)
-    if not is_subideal(MonomialIdeal(n, summand), MonomialIdeal(n, factor)):
+    if not all(any(divides(l, r) for l in left) for r in right):
         raise InvalidSplitTree("summand ideal not contained in factor ideal")
     # Both parts are antichains avoiding x, and I2 lies in I1.  So x*l never
     # divides a generator r of I2, and r | x*l forces r | l; as some l' of
     # I1 divides r, l' | l gives l' = l = r.  Hence x*I1 + I2 is minimal
     # exactly when the parts share no generator.
-    if factor & summand:
+    if not set(left).isdisjoint(right):
         raise InvalidSplitTree("rebuilt generators are not minimal")
-    xvar = variable(n, x)
-    return tuple(mono_mul(g, xvar) for g in left) + right
+    # g[x] == 0 was checked above, so x*g sets that one exponent to 1
+    return tuple(g[:x] + (1,) + g[x + 1:] for g in left) + right
 
 
 def validate_split_tree(tree: SplitTree, I: MonomialIdeal) -> bool:
@@ -291,12 +289,11 @@ def find_linear_quotients(I: MonomialIdeal,
     found = dfs(0)
     if found is None:
         return None
-    ordered = tuple(gens[t] for t in found)
-    sets = []
-    for t in range(m):
-        quotient = colon(minimalize(ordered[:t], I.num_vars), ordered[t])
-        sets.append(frozenset(g.index(1) for g in quotient.gens))
-    return LinearQuotientOrder(ordered, tuple(sets))
+    # each step is admissible: the colon ideal is generated by the degree-one
+    # quotients g_h / gcd(g_h, f_t) of the generators g_h placed before f_t
+    sets = tuple(frozenset(quot[t][h].index(1) for h in deg1[t]
+                           if h in found[:k]) for k, t in enumerate(found))
+    return LinearQuotientOrder(tuple(gens[t] for t in found), sets)
 
 
 def betti_from_sets(order: LinearQuotientOrder) -> BettiTable:
@@ -348,7 +345,9 @@ def verify_betti_splitting(I: MonomialIdeal, J: MonomialIdeal,
 
 
 def node_parts(node: SplitNode, n: int) -> tuple[MonomialIdeal, MonomialIdeal]:
-    """The pair (x*I1, I2) encoded at a split node."""
-    left = MonomialIdeal(n, frozenset(_rebuild(node.left, n)[0]))
-    right = MonomialIdeal(n, frozenset(_rebuild(node.right, n)[0]))
-    return multiply(left, variable(n, node.var)), right
+    """The pair (x*I1, I2) encoded at a split node: the generators of the
+    node's ideal with and without x, from one replay of the node's subtree.
+    Raises InvalidSplitTree if the subtree is not a certificate."""
+    gens, x = _rebuild(node, n)[0], node.var
+    return (MonomialIdeal(n, frozenset(g for g in gens if g[x])),
+            MonomialIdeal(n, frozenset(g for g in gens if not g[x])))

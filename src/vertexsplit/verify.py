@@ -59,11 +59,9 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-def suite_duality(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
+def suite_duality(max_n=5, seed=0, count=300, field=QQ) -> SuiteResult:
     """Vertex decomposable iff the facet-complement ideal is splittable:
     exhaustive up to max_n, seeded samples on the next two sizes."""
-    max_n = 5 if max_n is None else max_n
-    count = 300 if count is None else count
     result = SuiteResult("duality")
 
     def check(delta):
@@ -111,11 +109,9 @@ def _splittable_corpus(result: SuiteResult, count: int, max_vars: int,
         result.fail(f"only {produced} distinct splittable ideals found")
 
 
-def suite_betti_agreement(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
+def suite_betti_agreement(max_n=7, seed=0, count=10000, field=QQ) -> SuiteResult:
     """Recursive, set-formula and oracle Betti tables agree exactly on a
     random splittable corpus."""
-    max_n = 7 if max_n is None else max_n
-    count = 10000 if count is None else count
     result = SuiteResult("betti-agreement")
     for ideal, tree in _splittable_corpus(result, count, max_n, 12, seed):
         oracle = koszul_betti(ideal, field) if not ideal.is_zero else None
@@ -128,12 +124,10 @@ def suite_betti_agreement(max_n=None, seed=0, count=None, field=QQ) -> SuiteResu
     return result
 
 
-def suite_betti_splitting(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
+def suite_betti_splitting(max_n=7, seed=0, count=10000, field=QQ) -> SuiteResult:
     """At every certificate node, x*I1 + I2 is a Betti splitting: the
     oracle tables satisfy the splitting identity, x*I1 meets I2 in x*I2,
     and the regularity/projective-dimension consequences hold."""
-    max_n = 7 if max_n is None else max_n
-    count = 10000 if count is None else count
     result = SuiteResult("betti-splitting")
     nodes_checked = 0
     for ideal, tree in _splittable_corpus(result, count, max_n, 12, seed):
@@ -180,11 +174,9 @@ def _decomposable_corpus(max_n, seed, count):
         yield corpus.random_complex(max_n + 1, max_facets=8, rng=rng)
 
 
-def suite_pd_bight(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
+def suite_pd_bight(max_n=5, seed=0, count=300, field=QQ) -> SuiteResult:
     """For vertex decomposable complexes the quotient's oracle projective
     dimension equals the maximum facet-complement size."""
-    max_n = 5 if max_n is None else max_n
-    count = 300 if count is None else count
     result = SuiteResult("pd-bight")
     non_vd_gap = 0
     for delta in _decomposable_corpus(max_n, seed, count):
@@ -202,10 +194,8 @@ def suite_pd_bight(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
     return result
 
 
-def suite_reg_pd(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
+def suite_reg_pd(max_n=5, seed=0, count=300, field=QQ) -> SuiteResult:
     """The shedding recursions for pd and reg match the oracle."""
-    max_n = 5 if max_n is None else max_n
-    count = 300 if count is None else count
     result = SuiteResult("reg-pd")
     for delta in _decomposable_corpus(max_n, seed, count):
         if vertex_decomposable(delta) is None:
@@ -218,11 +208,9 @@ def suite_reg_pd(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
     return result
 
 
-def suite_terai(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
+def suite_terai(max_n=5, seed=0, count=300, field=QQ) -> SuiteResult:
     """pd of the Alexander dual equals reg of the quotient, for square-free
     nonzero non-unit ideals."""
-    max_n = 5 if max_n is None else max_n
-    count = 300 if count is None else count
     result = SuiteResult("terai")
 
     def check(ideal):
@@ -244,10 +232,9 @@ def suite_terai(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
     return result
 
 
-def suite_froberg(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
+def suite_froberg(max_n=6, seed=0, count=None, field=QQ) -> SuiteResult:
     """Edge-ideal linearity equivalences: complement chordal, oracle linear
     resolution, vertex splittable; and the dual-complex trio."""
-    max_n = 6 if max_n is None else max_n
     result = SuiteResult("froberg")
     for n in range(2, max_n + 1):
         for G in corpus.all_graphs(n):
@@ -263,14 +250,12 @@ def suite_froberg(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
     return result
 
 
-def suite_chordal_split(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
+def suite_chordal_split(max_n=7, seed=0, count=5000, field=QQ) -> SuiteResult:
     """Complement edge ideals of chordal graphs split, the certificates
     validate, and the induced quotient orders verify."""
-    max_n = 7 if max_n is None else max_n
     if max_n < 2:
         raise ValueError(f"--max-n must be at least 2 to sample chordal "
                          f"graphs, got {max_n}")
-    count = 5000 if count is None else count
     result = SuiteResult("chordal-split")
     rng = Random(seed)
     attempts = 0
@@ -294,11 +279,9 @@ def suite_chordal_split(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult
     return result
 
 
-def suite_linear_quotients(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
+def suite_linear_quotients(max_n=6, seed=0, count=400, field=QQ) -> SuiteResult:
     """Split certificates induce verified linear-quotient orders; in the
     equigenerated case the oracle confirms a linear resolution."""
-    max_n = 6 if max_n is None else max_n
-    count = 400 if count is None else count
     result = SuiteResult("linear-quotients")
     for ideal, tree in _splittable_corpus(result, count, max_n, 10, seed):
         result.checked += 1
@@ -314,11 +297,10 @@ def suite_linear_quotients(max_n=None, seed=0, count=None, field=QQ) -> SuiteRes
     return result
 
 
-def suite_cover_recursion(max_n=None, seed=0, count=None, field=QQ) -> SuiteResult:
+def suite_cover_recursion(max_n=5, seed=0, count=None, field=QQ) -> SuiteResult:
     """Cover-ideal identities: duality with the edge ideal, the recursion
     for sequentially Cohen-Macaulay bipartite witnesses, and the chordal
     simplicial-vertex recursion, all against the oracle."""
-    max_n = 5 if max_n is None else max_n
     result = SuiteResult("cover-recursion")
     for n in range(1, max_n + 1):
         for G in corpus.all_graphs(n):
@@ -415,4 +397,7 @@ def run_suite(name: str, max_n=None, seed=0, count=None,
               field: FieldChoice = QQ) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    return SUITES[name](max_n=max_n, seed=seed, count=count, field=field)
+    # an option left unset (None) keeps the suite's own default
+    given = {key: value for key, value in (("max_n", max_n), ("count", count))
+             if value is not None}
+    return SUITES[name](seed=seed, field=field, **given)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 from pathlib import Path
 from random import Random
@@ -388,6 +389,26 @@ def test_betti_rejects_a_negative_vertex_count(tmp_path, capsys):
     p = tmp_path / "neg.g"
     p.write_text("n -1\n")
     assert main(["betti", "--graph", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option, text", [("--graph", "n 99999999\n"),
+                                          ("--ideal", "x99999999\n")])
+def test_a_huge_declared_size_is_refused_before_allocation(
+        tmp_path, capsys, option, text):
+    # one name per vertex or variable would need gigabytes
+    p = tmp_path / "huge"
+    p.write_text(text)
+    tracemalloc.start()
+    try:
+        code = main(["classify", option, str(p)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from conftest import mi, sq
-from vertexsplit.complexes import from_facets
+from vertexsplit.complexes import MAX_VERTICES, from_facets
 from vertexsplit.corpus import (random_complex, random_graph,
                                 random_splittable_ideal)
 from vertexsplit.formats import (ParseError, default_names, format_complex,
@@ -78,6 +78,26 @@ def test_parse_graph_forms():
     assert G == path_graph(3) and names == ("a", "b", "c")
     with pytest.raises(ParseError):
         parse_graph("0 1\n")
+
+
+def test_parsers_refuse_more_vertices_than_the_limit():
+    names = [f"v{i}" for i in range(MAX_VERTICES + 1)]
+    over = [
+        (parse_ideal, f"x{MAX_VERTICES + 1}\n"),
+        (parse_ideal, f"vars: {' '.join(names)}\nv0\n"),
+        (parse_graph, f"n {MAX_VERTICES + 1}\n"),
+        (parse_graph, f"vertices: {' '.join(names)}\nv0 v1\n"),
+        (parse_complex, ",".join(names) + "\n"),
+        (parse_complex, f"vertices: {' '.join(names)}\nv0\n"),
+    ]
+    for parse, text in over:
+        with pytest.raises(ParseError, match="exceed the limit"):
+            parse(text)
+    # the limit itself is allowed
+    assert parse_ideal(f"x{MAX_VERTICES}\n")[0].num_vars == MAX_VERTICES
+    assert parse_graph(f"n {MAX_VERTICES}\n")[0].n == MAX_VERTICES
+    assert parse_complex(",".join(names[1:]) + "\n")[0].ground_size == \
+        MAX_VERTICES
 
 
 def test_round_trips_random():

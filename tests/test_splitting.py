@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from random import Random
 
@@ -8,9 +9,10 @@ from vertexsplit import clear_caches
 from vertexsplit.corpus import all_squarefree_ideals, random_splittable_ideal
 from vertexsplit.homology import betti_table, koszul_betti
 from vertexsplit.monomials import (MAX_EXPONENT, MonomialIdeal, divides,
-                                   intersect, is_subideal, minimalize, mono_div,
-                                   mono_from_mask, multiply, unit_ideal,
-                                   variable, x_partition, zero_ideal)
+                                   intersect, is_squarefree, is_subideal,
+                                   minimalize, mono_div, mono_from_mask,
+                                   multiply, unit_ideal, variable, x_partition,
+                                   zero_ideal)
 from vertexsplit.splitting import (InvalidSplitTree, LinearQuotientOrder,
                                    SplitLeaf, SplitNode, betti_from_sets,
                                    betti_recursive, find_linear_quotients,
@@ -194,6 +196,36 @@ def test_find_linear_quotients_agrees_with_split_on_corpus():
         assert verify_linear_quotient_order(order, ideal.num_vars)
 
 
+# sha256 of the repr of every order found below, one per line
+LINEAR_QUOTIENTS_DIGEST = (
+    "133468157025c672853df983b3b744fbcd1f29dd8952952330c83c3913db5c2c")
+
+
+def test_find_linear_quotients_orders_are_pinned():
+    ideals = [I for n in range(1, 5) for I in all_squarefree_ideals(n)]
+    rng = Random(43)
+    mixed = []
+    while len(mixed) < 300:
+        n = rng.randint(2, 5)
+        I = minimalize((tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n))
+                        for _ in range(rng.randint(2, 7))), n)
+        if not is_squarefree(I):
+            mixed.append(I)
+    assert any(vertex_split(I) is None for I in mixed)
+    assert any(vertex_split(I) is not None for I in mixed)
+    lines = []
+    found = 0
+    for I in ideals + mixed:
+        order = find_linear_quotients(I)
+        if order is not None:
+            found += 1
+            assert verify_linear_quotient_order(order, I.num_vars), I
+        lines.append(repr(order))
+    assert 0 < found < len(lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LINEAR_QUOTIENTS_DIGEST
+
+
 @pytest.mark.parametrize("n, max_gens", [(-1, 12), (4, 0), (4, -2)])
 def test_random_splittable_ideal_rejects_impossible_sizes(n, max_gens):
     # refused before sampling: the generator state is untouched
@@ -374,6 +406,10 @@ def test_replay_matches_the_spelled_out_reference():
                 assert str(caught.value) == str(exc)
                 with pytest.raises(InvalidSplitTree):
                     quotient_order_from_split(variant, n)
+                if isinstance(variant, SplitNode):
+                    with pytest.raises(InvalidSplitTree) as caught:
+                        node_parts(variant, n)
+                    assert str(caught.value) == str(exc)
                 continue
             outcomes["accepted"] += 1
             assert validate_split_tree(variant, MonomialIdeal(n, want))
@@ -382,6 +418,11 @@ def test_replay_matches_the_spelled_out_reference():
             order = quotient_order_from_split(variant, n)
             assert frozenset(order.generators) == want
             assert len(order.generators) == len(want)
+            for node, node_ideal in reference_nodes(variant, n):
+                # the node ideal split on x; both parts of a zero node are zero
+                parts = ((zero_ideal(n), zero_ideal(n)) if node_ideal.is_zero
+                         else x_partition(node_ideal, node.var))
+                assert node_parts(node, n) == parts
     # every rejection the corruptions can provoke was seen; the collision
     # branch of the reference never fires
     assert set(outcomes) == {"accepted", "arity", "range", "variable",
