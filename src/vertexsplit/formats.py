@@ -15,7 +15,7 @@ import re
 from .complexes import MAX_VERTICES, SimplicialComplex, from_facets, mask_to_set
 from .decomposition import DecompositionTree, SimplexLeaf
 from .graphs import Graph, ScmCertificate, ScmLeaf, graph
-from .monomials import Monomial, MonomialIdeal, minimalize
+from .monomials import MAX_EXPONENT, Monomial, MonomialIdeal, minimalize
 from .splitting import LinearQuotientOrder, SplitLeaf, SplitTree
 
 
@@ -28,6 +28,18 @@ def _check_size(count: int, what: str) -> int:
     if count > MAX_VERTICES:
         raise ParseError(f"{count} {what} exceed the limit of {MAX_VERTICES}")
     return count
+
+
+def _bounded_int(digits: str, limit: int, what: str) -> int:
+    """The value of a digit run; ParseError when it has more digits than
+    limit, checked before int() sees it, which refuses runs of more than
+    4,300 digits with a message about the interpreter, not the input."""
+    value = digits.lstrip("0") or "0"
+    if len(value) > len(str(limit)):
+        shown = digits if len(digits) <= 20 else f"{digits[:8]}...{digits[-8:]}"
+        raise ParseError(f"{what} {shown!r} ({len(digits)} characters) is "
+                         f"out of range; the limit is {limit}")
+    return int(value)
 
 
 def default_names(n: int) -> tuple[str, ...]:
@@ -59,7 +71,9 @@ def parse_monomial(text: str, names: dict[str, int], n: int) -> Monomial:
         name = match.group("name")
         if name not in names:
             raise ParseError(f"unknown variable {name!r}")
-        exps[names[name]] += int(match.group("exp") or 1)
+        exp = match.group("exp")
+        exps[names[name]] += (_bounded_int(exp, MAX_EXPONENT, f"exponent of {name}")
+                              if exp else 1)
     return tuple(exps)
 
 
@@ -117,7 +131,8 @@ def parse_ideal(text: str) -> tuple[MonomialIdeal, tuple[str, ...]]:
                     raise ParseError(
                         f"undeclared variable in {line!r}; add a vars: line "
                         "or use x1, x2, ...")
-                top = max(top, int(implicit.group(1)))
+                top = max(top, _bounded_int(implicit.group(1), MAX_VERTICES,
+                                            "variable index"))
         names = list(default_names(_check_size(top, "variables")))
     else:
         names = declared
@@ -182,9 +197,12 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
     if declared is None:
         if not items or not items[0].startswith("n "):
             raise ParseError("edge lists start with a header line `n <count>`")
-        n = _check_size(int(items[0].split()[1]), "vertices")
+        n = _check_size(_bounded_int(items[0].split()[1], MAX_VERTICES,
+                                     "vertex count"), "vertices")
         items = items[1:]
-        vertex = int
+
+        def vertex(token: str) -> int:
+            return _bounded_int(token, MAX_VERTICES, "vertex")
     else:
         n = len(declared)
         vertex = {name: i for i, name in enumerate(declared)}.__getitem__

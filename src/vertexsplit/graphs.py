@@ -17,9 +17,8 @@ from .complexes import (SimplicialComplex, alexander_dual_complex,
 from .decomposition import is_shedding, vertex_decomposable
 from .homology import (FieldChoice, QQ, betti_table, has_linear_resolution,
                        is_cohen_macaulay)
-from .monomials import (MonomialIdeal, intersect, mono_from_mask,
-                        squarefree_ideal, unit_ideal, unit_monomial,
-                        variable, variable_ideal)
+from .monomials import (MonomialIdeal, minimal_transversals, mono_from_mask,
+                        squarefree_ideal, unit_monomial, variable)
 from .splitting import SplitLeaf, SplitNode, SplitTree, vertex_split
 
 
@@ -101,13 +100,11 @@ def edge_ideal(G: Graph) -> MonomialIdeal:
 
 
 def cover_ideal(G: Graph) -> MonomialIdeal:
-    """Intersection of the edge primes (x_u, x_v); generated by the minimal
-    vertex covers.  An edgeless graph gives the unit ideal (empty
-    intersection)."""
-    result = unit_ideal(G.n)
-    for u, v in G.sorted_edges():
-        result = intersect(result, variable_ideal(G.n, (u, v)))
-    return result
+    """Intersection of the edge primes (x_u, x_v), generated by the minimal
+    vertex covers, the minimal transversals of the edges.  An edgeless
+    graph gives the unit ideal (empty intersection)."""
+    return squarefree_ideal(
+        minimal_transversals(1 << u | 1 << v for u, v in G.edges), G.n)
 
 
 def independence_complex(G: Graph) -> SimplicialComplex:

@@ -17,6 +17,12 @@ powers of cycles", 2012) gives the homology of each W from two smaller W
 by its Mayer-Vietoris sequence, with no matrix, whenever the two share no
 nonzero degree (`_independence_table`).  Only a W at which every vertex
 collides builds facets and calls the kernel.
+
+Cover ideals read the same table through Hochster's formula in its
+Alexander-dual form (Eagon-Reiner; Miller-Sturmfels, ch. 1): the dual of
+the Stanley-Reisner complex of J(G) is Ind(G), and the link of an
+independent set U in Ind(G) is Ind(G[V - N[U]]), so beta_{i,j}(J(G)) sums
+the homology of one table entry per independent U (`_cover_entries`).
 """
 
 from __future__ import annotations
@@ -120,9 +126,14 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     unless every vertex of W has a neighbour in W, and one recursion over
     the subsets of the union fills in the homology of every W
     (`_independence_table`); its table holds one entry per subset, which
-    bounds the limit.  Every other ideal restricts the facets of its
-    Stanley-Reisner complex.  An ideal with a square raises ValueError
-    (`support_masks`).
+    bounds the limit.  Every other ideal builds the facets of its
+    Stanley-Reisner complex, whose complements in the union are the
+    minimal primes of I.  When each prime has two vertices, I is the cover
+    ideal J(G) of the graph with those primes as edges, and the cover
+    route reads beta_{i,j} off the independence table of G by the dual
+    form of the formula (`_cover_entries`), with no lattice W.  Any other
+    ideal restricts the facets to each lattice W.  An ideal with a square
+    raises ValueError (`support_masks`).
     """
     if I.is_zero:
         raise ValueError("the zero ideal has an empty resolution; no table")
@@ -138,8 +149,13 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
         counts = Counter(zip(map(int.bit_count, range(len(table))), table))
         restrictions = ((j, shapes[s], c) for (j, s), c in counts.items())
     else:
-        restrictions = _facet_restrictions(complex_of_ideal(I).facets,
-                                           supports, union, field.char)
+        facets = complex_of_ideal(I).facets
+        # the complements of the facets in the union are the minimal primes
+        primes = [union & ~f for f in facets]
+        if all(q.bit_count() == 2 for q in primes):
+            return make_table(_cover_entries(primes, field.char), "ideal")
+        restrictions = _facet_restrictions(facets, supports, union,
+                                           field.char)
     entries: dict[tuple[int, int], int] = {}
     for j, dims, c in restrictions:
         for t, d in enumerate(dims):
@@ -162,6 +178,54 @@ def _facet_restrictions(facets, supports: list[int], union: int, p: int):
         if lattice == w:
             yield (w.bit_count(),
                    kernel.homology_dims(restrict_masks(facets, w), p), 1)
+
+
+def _cover_entries(edges: list[int], p: int) -> dict[tuple[int, int], int]:
+    """The Betti numbers of the cover ideal J(G) of the graph with these
+    edge masks, by Hochster's formula in its Alexander-dual form.
+
+    On the vertex set V of G, the Stanley-Reisner complex of J(G) has
+    Alexander dual Ind(G), and beta_{i,j}(J(G)) sums, over the independent
+    U with |V - U| = j, the reduced homology of the link of U in Ind(G) in
+    degree i - 1; a U that is not independent is no face and adds nothing.
+    That link is Ind(G[V - N[U]]), whose dims `_independence_table` holds
+    at index t = i.  The independent U are walked depth-first, each
+    reached once by adding its vertices in increasing order.
+    """
+    union = 0
+    for e in edges:
+        union |= e
+    edges = compress(edges, union)
+    table, shapes = _independence_table(edges, p)
+    near = _neighbours(edges)
+    full = len(table) - 1
+    k = full.bit_count()
+    counts: Counter = Counter()
+    # (|U|, N[U], the vertices above U's last that N[U] misses)
+    stack = [(0, 0, full)]
+    while stack:
+        size, closed, rest = stack.pop()
+        counts[k - size, table[full & ~closed]] += 1
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            stack.append((size + 1, closed | v | near[v], rest & ~near[v]))
+    entries: dict[tuple[int, int], int] = {}
+    for (j, s), c in counts.items():
+        for i, d in enumerate(shapes[s]):
+            if d:
+                entries[i, j] = entries.get((i, j), 0) + c * d
+    return entries
+
+
+def _neighbours(edges: list[int]) -> dict[int, int]:
+    """The neighbourhood mask of each vertex bit on one of these edges."""
+    near: dict[int, int] = {}
+    for e in edges:
+        u = e & -e
+        near[u] = near.get(u, 0) | e ^ u
+        near[e ^ u] = near.get(e ^ u, 0) | u
+    return near
 
 
 def _independence_table(edges: list[int], p: int):
@@ -191,11 +255,7 @@ def _independence_table(edges: list[int], p: int):
     for e in edges:
         union |= e
     edges = compress(edges, union)
-    near: dict[int, int] = {}
-    for e in edges:
-        u = e & -e
-        near[u] = near.get(u, 0) | e ^ u
-        near[e ^ u] = near.get(e ^ u, 0) | u
+    near = _neighbours(edges)
     shapes: list[tuple[int, ...]] = [(), (1,)]
     ids = {(): 0, (1,): 1}
     # bit t is set when the dims at t are nonzero

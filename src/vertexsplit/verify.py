@@ -24,8 +24,9 @@ from .graphs import (Graph, ScmNode, chordal_split, complement,
                      path_graph, simplicial_vertex)
 from .homology import (FieldChoice, QQ, betti_table, has_linear_resolution,
                        koszul_betti)
-from .monomials import (alexander_dual_ideal, degree, intersect, multiply,
-                        squarefree_ideal, variable, x_partition)
+from .monomials import (MonomialIdeal, alexander_dual_ideal, degree,
+                        intersect, multiply, squarefree_ideal, unit_ideal,
+                        variable, variable_ideal, x_partition)
 from .splitting import (betti_from_sets, betti_recursive,
                         quotient_order_from_split, split_nodes,
                         validate_split_tree, verify_betti_splitting,
@@ -297,6 +298,17 @@ def suite_linear_quotients(max_n=6, seed=0, count=400, field=QQ) -> SuiteResult:
     return result
 
 
+def _edge_prime_intersection(G: Graph) -> MonomialIdeal:
+    """The cover ideal by its definition, one intersection per edge prime
+    (x_u, x_v).  `cover_ideal` and `alexander_dual_ideal` both take
+    minimal transversals, so this is the side of the duality check that
+    shares no code with them."""
+    result = unit_ideal(G.n)
+    for u, v in G.sorted_edges():
+        result = intersect(result, variable_ideal(G.n, (u, v)))
+    return result
+
+
 def suite_cover_recursion(max_n=5, seed=0, count=None, field=QQ) -> SuiteResult:
     """Cover-ideal identities: duality with the edge ideal, the recursion
     for sequentially Cohen-Macaulay bipartite witnesses, and the chordal
@@ -306,8 +318,10 @@ def suite_cover_recursion(max_n=5, seed=0, count=None, field=QQ) -> SuiteResult:
         for G in corpus.all_graphs(n):
             result.checked += 1
             cover = cover_ideal(G)
-            if cover != alexander_dual_ideal(edge_ideal(G)):
-                result.fail(f"{G!r}: cover ideal is not the dual edge ideal")
+            primes = _edge_prime_intersection(G)
+            if cover != primes or alexander_dual_ideal(edge_ideal(G)) != primes:
+                result.fail(f"{G!r}: cover ideal or dual edge ideal is not "
+                            "the intersection of the edge primes")
                 continue
             if not G.edges:
                 continue

@@ -11,6 +11,8 @@ import pytest
 from test_kernel import RP2_MASKS
 from vertexsplit import cli
 from vertexsplit.cli import main
+from vertexsplit.complexes import MAX_VERTICES
+from vertexsplit.monomials import MAX_EXPONENT
 
 P3_IDEAL = "kind: ideal\nvars: x y z\nx*y\ny*z\n"
 P4_GRAPH = "n 4\n0 1\n1 2\n2 3\n"
@@ -412,6 +414,27 @@ def test_a_huge_declared_size_is_refused_before_allocation(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# more digits than int() converts by default (4,300)
+LONG_RUN = "9" * 5000
+
+
+@pytest.mark.parametrize("option, text, what, limit", [
+    ("--ideal", f"x1^{LONG_RUN}\n", "exponent of x1", MAX_EXPONENT),
+    ("--ideal", f"x{LONG_RUN}\n", "variable index", MAX_VERTICES),
+    ("--graph", f"n {LONG_RUN}\n", "vertex count", MAX_VERTICES),
+    ("--graph", f"n 4\n0 {LONG_RUN}\n", "vertex", MAX_VERTICES)])
+def test_a_long_digit_run_is_refused_by_its_length(tmp_path, capsys, option,
+                                                   text, what, limit):
+    p = tmp_path / "long"
+    p.write_text(text)
+    assert main(["classify", option, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {what} '99999999...99999999' (5000 "
+                            f"characters) is out of range; the limit is "
+                            f"{limit}\n")
 
 
 def test_gen_graph_and_complex(tmp_path):

@@ -1,3 +1,4 @@
+from functools import reduce
 from itertools import combinations
 from random import Random
 
@@ -17,7 +18,8 @@ from vertexsplit.graphs import (Graph, ScmLeaf, ScmNode, chordal_split,
                                 is_chordal, is_scm_bipartite, path_graph,
                                 simplicial_vertex)
 from vertexsplit.homology import betti_table
-from vertexsplit.monomials import alexander_dual_ideal
+from vertexsplit.monomials import (alexander_dual_ideal, intersect,
+                                   unit_ideal, variable_ideal)
 from vertexsplit.splitting import (quotient_order_from_split,
                                    validate_split_tree,
                                    verify_linear_quotient_order)
@@ -51,9 +53,15 @@ def test_cover_ideal_examples():
 
 
 def test_cover_ideal_is_dual_edge_ideal_exhaustively():
+    # both library sides take minimal transversals, so the reference is
+    # the definition: one intersection per edge prime (x_u, x_v)
     for n in range(1, 6):
         for G in all_graphs(n):
-            assert cover_ideal(G) == alexander_dual_ideal(edge_ideal(G))
+            primes = reduce(intersect, (variable_ideal(n, e)
+                                        for e in G.sorted_edges()),
+                            unit_ideal(n))
+            assert cover_ideal(G) == primes
+            assert alexander_dual_ideal(edge_ideal(G)) == primes
 
 
 def test_complement_and_complexes():

@@ -14,15 +14,16 @@ from vertexsplit.complexes import (complex_of_ideal, from_facet_masks,
                                    from_facets, restrict_masks, simplex,
                                    stanley_reisner_ideal)
 from vertexsplit.corpus import all_squarefree_ideals, random_complex
-from vertexsplit.graphs import (cycle_graph, edge_ideal, graph,
+from vertexsplit.graphs import (cover_ideal, cycle_graph, edge_ideal, graph,
                                 independence_complex, path_graph)
 from vertexsplit.homology import (FieldChoice, QQ, betti_table,
                                   has_linear_resolution, hochster_betti,
                                   is_cohen_macaulay, koszul_betti,
                                   parse_field, reduced_homology_dims)
-from vertexsplit.monomials import (MonomialIdeal, compress, minimalize,
-                                   mono_from_mask, support_masks, unit_ideal,
-                                   variable_ideal, zero_ideal)
+from vertexsplit.monomials import (MonomialIdeal, compress, minimal_transversals,
+                                   minimalize, mono_from_mask, squarefree_ideal,
+                                   support_masks, unit_ideal, variable_ideal,
+                                   zero_ideal)
 
 GF2 = FieldChoice.prime(2)
 GF5 = FieldChoice.prime(5)
@@ -363,6 +364,79 @@ def test_the_recursion_is_exact_at_every_vertex_set(edges, p):
     for w, s in enumerate(table):
         dims = kernel.homology_dims(independent_facets(edges, w), p)
         assert shapes[s] + (0,) * (len(dims) - len(shapes[s])) == dims
+
+
+def facet_route_table(I, p):
+    """The table of a square-free ideal by the facet route alone."""
+    supports = support_masks(I)
+    entries = {}
+    for j, dims, c in homology._facet_restrictions(
+            complex_of_ideal(I).facets, supports, reduce(or_, supports), p):
+        for t, d in enumerate(dims):
+            if d and j - t - 1 >= 0:
+                entries[j - t - 1, j] = entries.get((j - t - 1, j), 0) + c * d
+    return make_table(entries, "ideal")
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The names of the Hochster routes, other than the edge route, that
+    a test takes."""
+    taken = []
+    for name in ("_cover_entries", "_facet_restrictions"):
+        def spy(*args, name=name, route=getattr(homology, name)):
+            taken.append(name)
+            return route(*args)
+        monkeypatch.setattr(homology, name, spy)
+    return taken
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_cover_tables_equal_the_facet_and_koszul_routes(kernel_calls, p):
+    field = FieldChoice(p)
+    for G in (path_graph(5), cycle_graph(5), cycle_graph(7),
+              graph(6, [(0, 1), (2, 3), (4, 5), (1, 2)]),
+              graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])):
+        I = cover_ideal(G)
+        assert hochster_betti(I, field) == facet_route_table(I, p) \
+            == koszul_betti(I, field)
+    # the cover route reads the independence table of REGULAR8, whose
+    # kernel fallback fires once, at W = V
+    I = cover_ideal(REGULAR8)
+    kernel_calls.clear()
+    table = hochster_betti(I, field)
+    assert len(kernel_calls) == 1
+    assert reduce(or_, kernel_calls[0]) == (1 << 8) - 1
+    assert table == facet_route_table(I, p) == koszul_betti(I, field)
+    assert table.entries == {(0, 6): 8, (1, 7): 8, (1, 8): 1, (2, 8): 2}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(covered_graphs(), st.sampled_from([0, 2, 3]))
+def test_the_cover_route_equals_the_facet_and_koszul_routes(edges, p):
+    n = reduce(or_, edges).bit_length()
+    I = squarefree_ideal(minimal_transversals(edges), n)
+    field = FieldChoice(p)
+    assert hochster_betti(I, field) == facet_route_table(I, p) \
+        == koszul_betti(I, field)
+
+
+def test_only_cover_ideals_take_the_cover_route(routes):
+    # (z, xy) has the minimal primes xz and yz, so it is J(G) for those
+    # two edges
+    assert hochster_betti(sq("z", "xy")).entries == \
+        {(0, 1): 1, (0, 2): 1, (1, 3): 1}
+    assert routes == ["_cover_entries"]
+    # (xyz) has the primes x, y and z; the next ideal has the prime xyz
+    # and the last the prime z
+    for I in (sq("xyz"), sq("xyz", "wx", "wy", "wz"), sq("xyz", "zw")):
+        routes.clear()
+        assert hochster_betti(I) == koszul_betti(I)
+        assert routes == ["_facet_restrictions"]
+    # an edge ideal takes the edge route before the test is made
+    routes.clear()
+    hochster_betti(sq("xy", "yz"))
+    assert routes == []
 
 
 def test_the_twelve_cycle_table_is_the_hochster_table():

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import vertexsplit
-from conftest import fraction_rank, mi
+from conftest import fraction_rank, mi, sq
 from vertexsplit import homology, kernel
 from vertexsplit import _kernel_py
-from vertexsplit.graphs import cover_ideal, cycle_graph, path_graph
 from vertexsplit.monomials import is_squarefree
 
 
@@ -78,9 +77,12 @@ def test_homology_rejects_void_complex():
 
 def test_kernel_caches_clear():
     vertexsplit.clear_caches()
-    # cover ideals with a cubic generator take the facet route, which
-    # fills the homology memo; edge ideals need no kernel call
-    I = cover_ideal(path_graph(5))
+    # an ideal with a minimal prime of size other than two is neither an
+    # edge ideal nor a cover ideal, so it takes the facet route, which
+    # fills the homology memo: here a hollow triangle xyz and a point w
+    # (prime xyz), then xyz and zw (prime z)
+    I = sq("xyz", "wx", "wy", "wz")
+    other = sq("xyz", "zw")
     vertexsplit.vertex_split(I)
     vertexsplit.betti_table(I)
     vertexsplit.vertex_decomposable(vertexsplit.complex_of_ideal(I))
@@ -94,13 +96,13 @@ def test_kernel_caches_clear():
     assert sizes["homology"] == 0
     assert all(sizes[name] for name in ("tables", "split", "decomposition"))
     # the oracle's reset empties its memo and the kernel's
-    vertexsplit.betti_table(cover_ideal(cycle_graph(5)))
+    vertexsplit.betti_table(other)
     homology.clear_caches()
     sizes = {name: c.currsize for name, c in vertexsplit.cache_info().items()}
     assert sizes["homology"] == sizes["tables"] == 0
     assert sizes["split"] and sizes["decomposition"]
     # the package-level reset empties all four
-    vertexsplit.betti_table(cover_ideal(cycle_graph(5)))
+    vertexsplit.betti_table(other)
     info = vertexsplit.cache_info()
     assert info["tables"].currsize and info["homology"].currsize
     vertexsplit.clear_caches()
