@@ -12,6 +12,8 @@ A complex may have ghost vertices: ground-set elements lying in no face.
 The Stanley-Reisner complex, the minimal non-faces and both Alexander duals
 come from ``monomials.minimal_transversals`` (F is a face iff its complement
 meets every generator support), so none builds a table of all 2^n subsets.
+`complex_of_supports` takes non-face masks, so independence complexes come
+from edge masks; `complex_of_ideal` checks its ideal and calls it.
 """
 
 from __future__ import annotations
@@ -183,10 +185,14 @@ def complex_of_ideal(I: MonomialIdeal) -> SimplicialComplex:
     supports = support_masks(I)
     if I.is_unit:
         raise ValueError("the unit ideal has no Stanley-Reisner complex")
-    n = I.num_vars
+    return complex_of_supports(supports, I.num_vars)
+
+
+def complex_of_supports(supports: Iterable[int], n: int) -> SimplicialComplex:
+    """Complex on {0, ..., n-1} whose faces contain none of these masks."""
     full = (1 << n) - 1
-    facets = [full & ~t for t in minimal_transversals(supports)]
-    return SimplicialComplex(n, frozenset(facets))
+    return SimplicialComplex(n, frozenset(
+        full & ~t for t in minimal_transversals(supports)))
 
 
 def alexander_dual_complex(delta: SimplicialComplex) -> SimplicialComplex:

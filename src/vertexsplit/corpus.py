@@ -13,8 +13,8 @@ from typing import Iterator
 
 from .complexes import SimplicialComplex, empty_complex, from_facet_masks
 from .graphs import Graph
-from .monomials import (Monomial, MonomialIdeal, colon, intersect, mono_mul,
-                        squarefree_ideal, variable, x_partition)
+from .monomials import (Monomial, MonomialIdeal, minimalize, mono_lcm,
+                        mono_mul, squarefree_ideal)
 from .splitting import (InvalidSplitTree, SplitLeaf, SplitNode, SplitTree,
                         _node_gens)
 
@@ -106,15 +106,17 @@ def _sample_contained(variables: tuple[int, ...], target: MonomialIdeal,
     y = rng.choice(variables)
     rest = tuple(v for v in variables if v != y)
     # anything inside (target : y) and free of y can be multiplied by y and
-    # stay inside target; both ideals partitioned at y are nonzero
-    quotient = x_partition(colon(target, variable(n, y)), y)[1]
+    # stay inside target.  Only the y-free parts of (target : y) and of
+    # left ∩ target are sampled from, and a y-free monomial has only y-free
+    # divisors, so each part minimalizes just its y-free candidates
+    quotient = minimalize((g[:y] + (0,) + g[y + 1:] for g in target.gens
+                           if g[y] <= 1), n)
     left, left_gens = _sample_contained(rest, quotient, rng, depth - 1)
     if not left_gens:
         return SplitLeaf(None), ()
-    left_ideal = MonomialIdeal(n, frozenset(left_gens))
-    right, right_gens = _sample_contained(
-        rest, x_partition(intersect(left_ideal, target), y)[1], rng,
-        depth - 1)
+    meet = minimalize((mono_lcm(g, h) for g in left_gens for h in target.gens
+                       if not h[y]), n)
+    right, right_gens = _sample_contained(rest, meet, rng, depth - 1)
     return SplitNode(y, left, right), _node_gens(y, left_gens, right_gens)
 
 

@@ -257,10 +257,10 @@ def format_scm_certificate(cert: ScmCertificate, G: Graph, names) -> str:
     if isinstance(cert, ScmLeaf):
         return "edgeless"
     x, y = cert.x, cert.y
-    drop_x = sorted(G.closed_neighborhood(x))
-    drop_y = sorted(G.closed_neighborhood(y))
-    names_x = [nm for i, nm in enumerate(names) if i not in drop_x]
-    names_y = [nm for i, nm in enumerate(names) if i not in drop_y]
+    drop_x = G.near[x] | 1 << x
+    drop_y = G.near[y] | 1 << y
+    names_x = [nm for i, nm in enumerate(names) if not drop_x >> i & 1]
+    names_y = [nm for i, nm in enumerate(names) if not drop_y >> i & 1]
     left = format_scm_certificate(cert.without_x, delete_vertices(G, drop_x), names_x)
     right = format_scm_certificate(cert.without_y, delete_vertices(G, drop_y), names_y)
     return f"({names[x]},{names[y]}: {left} | {right})"

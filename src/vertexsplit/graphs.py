@@ -2,18 +2,20 @@
 independence and clique complexes, chordality, domination shedding, the
 recursive sequentially Cohen-Macaulay test for bipartite graphs, the
 cover-ideal Betti recursion, and the equivalences tying linear resolutions
-of edge ideals to chordal complements.
+of edge ideals to chordal complements.  Every routine reads one adjacency,
+`Graph.near`, the neighbour mask of each vertex derived from the edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Union
 
 from .betti import BettiTable, add_shifted, make_table
 from .complexes import (SimplicialComplex, alexander_dual_complex,
-                        complex_of_ideal)
+                        complex_of_supports)
 from .decomposition import is_shedding, vertex_decomposable
 from .homology import (FieldChoice, QQ, betti_table, has_linear_resolution,
                        is_cohen_macaulay)
@@ -36,24 +38,14 @@ class Graph:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"bad edge ({u}, {v}) for {self.n} vertices")
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
+    @cached_property
+    def near(self) -> tuple[int, ...]:
+        """The neighbour mask of each vertex, derived once from the edges."""
+        near = [0] * self.n
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def neighbors(self, v: int) -> set[int]:
-        return {u for e in self.edges if v in e for u in e if u != v}
-
-    def closed_neighborhood(self, v: int) -> set[int]:
-        return self.neighbors(v) | {v}
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+            near[u] |= 1 << v
+            near[v] |= 1 << u
+        return tuple(near)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -84,13 +76,12 @@ def complement(G: Graph) -> Graph:
     return Graph(G.n, frozenset(missing))
 
 
-def delete_vertices(G: Graph, drop) -> Graph:
-    """Induced subgraph on the remaining vertices, relabeled in order."""
-    drop = set(drop)
-    keep = [v for v in range(G.n) if v not in drop]
+def delete_vertices(G: Graph, drop: int) -> Graph:
+    """Induced subgraph outside the drop mask, relabeled in order."""
+    keep = [v for v in range(G.n) if not drop >> v & 1]
     place = {v: i for i, v in enumerate(keep)}
     edges = frozenset((place[u], place[v]) for u, v in G.edges
-                      if u not in drop and v not in drop)
+                      if not (drop >> u | drop >> v) & 1)
     return Graph(len(keep), edges)
 
 
@@ -109,11 +100,34 @@ def cover_ideal(G: Graph) -> MonomialIdeal:
 
 def independence_complex(G: Graph) -> SimplicialComplex:
     """Faces are the independent vertex sets of G."""
-    return complex_of_ideal(edge_ideal(G))
+    return complex_of_supports([1 << u | 1 << v for u, v in G.edges], G.n)
 
 
 def clique_complex(G: Graph) -> SimplicialComplex:
     return independence_complex(complement(G))
+
+
+def _is_clique(near: tuple[int, ...], mask: int) -> bool:
+    """True iff the vertices of mask are pairwise adjacent."""
+    return all(mask & ~near[v] == 1 << v
+               for v in range(len(near)) if mask >> v & 1)
+
+
+def _elimination_order(near: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """Maximum cardinality search, ties broken at the lowest index: the
+    reversed visit order if it is a perfect elimination order, checked as
+    each vertex is visited (its earlier-visited neighbours form a clique),
+    else None."""
+    numbered = 0
+    visit: list[int] = []
+    for _ in near:
+        z = min((v for v in range(len(near)) if not numbered >> v & 1),
+                key=lambda v: (-(near[v] & numbered).bit_count(), v))
+        if not _is_clique(near, near[z] & numbered):
+            return None
+        numbered |= 1 << z
+        visit.append(z)
+    return tuple(visit[::-1])
 
 
 def is_chordal(G: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -121,37 +135,23 @@ def is_chordal(G: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
 
     Returns (True, perfect elimination order) or (False, None).  The MCS
     visit order reversed is a perfect elimination order exactly when the
-    graph is chordal; the order is verified directly (the later neighbors
-    of each vertex must form a clique).  Ties break at the lowest index.
+    graph is chordal (Tarjan-Yannakakis, 1984).
     """
-    adj = G.adjacency()
-    weight = [0] * G.n
-    unnumbered = set(range(G.n))
-    visit: list[int] = []
-    while unnumbered:
-        z = min(unnumbered, key=lambda v: (-weight[v], v))
-        unnumbered.remove(z)
-        visit.append(z)
-        for y in adj[z]:
-            if y in unnumbered:
-                weight[y] += 1
-    peo = visit[::-1]
-    pos = {v: i for i, v in enumerate(peo)}
-    for i, v in enumerate(peo):
-        later = [u for u in adj[v] if pos[u] > i]
-        for a, b in combinations(later, 2):
-            if b not in adj[a]:
-                return False, None
-    return True, tuple(peo)
+    order = _elimination_order(G.near)
+    return order is not None, order
+
+
+def _complement_chordal(G: Graph) -> bool:
+    """Chordality of the complement of G, read off its neighbour masks."""
+    full = (1 << G.n) - 1
+    return _elimination_order(tuple(full ^ (m | 1 << v)
+                                    for v, m in enumerate(G.near))) is not None
 
 
 def simplicial_vertex(G: Graph) -> Optional[int]:
     """Lowest-index vertex whose neighborhood is a clique, if any."""
-    adj = G.adjacency()
-    for v in range(G.n):
-        if all(b in adj[a] for a, b in combinations(sorted(adj[v]), 2)):
-            return v
-    return None
+    return next((v for v, m in enumerate(G.near) if _is_clique(G.near, m)),
+                None)
 
 
 def domination_shedding(G: Graph) -> list[int]:
@@ -159,27 +159,26 @@ def domination_shedding(G: Graph) -> list[int]:
 
     Every such y is a shedding vertex of the independence complex.
     """
-    closed = [G.closed_neighborhood(v) for v in range(G.n)]
+    closed = [m | 1 << v for v, m in enumerate(G.near)]
     return [y for y in range(G.n)
-            if any(x != y and closed[x] <= closed[y] for x in range(G.n))]
+            if any(x != y and not closed[x] & ~closed[y] for x in range(G.n))]
 
 
 def is_bipartite(G: Graph) -> bool:
-    adj = G.adjacency()
-    color = [-1] * G.n
-    for start in range(G.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in adj[v]:
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return False
+    """Breadth-first search by levels: G is bipartite iff no edge joins two
+    vertices of one level."""
+    unseen = (1 << G.n) - 1
+    while unseen:
+        level = unseen & -unseen
+        while level:
+            unseen &= ~level
+            reach = 0
+            for v in range(G.n):
+                if level >> v & 1:
+                    reach |= G.near[v]
+            if reach & level:
+                return False
+            level = reach & unseen
     return True
 
 
@@ -217,14 +216,14 @@ def is_scm_bipartite(G: Graph) -> tuple[bool, Optional[ScmCertificate]]:
 def _scm_recurse(G: Graph) -> tuple[bool, Optional[ScmCertificate]]:
     if not G.edges:
         return True, ScmLeaf()
-    for x in range(G.n):
-        if G.degree(x) != 1:
+    for x, nx in enumerate(G.near):
+        if nx.bit_count() != 1:
             continue
-        y = next(iter(G.neighbors(x)))
-        ok_x, cert_x = _scm_recurse(delete_vertices(G, G.closed_neighborhood(x)))
+        y = nx.bit_length() - 1
+        ok_x, cert_x = _scm_recurse(delete_vertices(G, nx | 1 << x))
         if not ok_x:
             continue
-        ok_y, cert_y = _scm_recurse(delete_vertices(G, G.closed_neighborhood(y)))
+        ok_y, cert_y = _scm_recurse(delete_vertices(G, G.near[y] | 1 << y))
         if not ok_y:
             continue
         return True, ScmNode(x, y, cert_x, cert_y)
@@ -250,9 +249,9 @@ def cover_betti_recursive(G: Graph, v: int,
     delta = independence_complex(G)
     if not delta.is_vertex(v) or not is_shedding(delta, v):
         raise ValueError(f"{v} is not a shedding vertex of the independence complex")
-    t = G.degree(v)
-    del_table = _cover_table(delete_vertices(G, {v}), field)
-    link_table = _cover_table(delete_vertices(G, G.closed_neighborhood(v)), field)
+    t = G.near[v].bit_count()
+    del_table = _cover_table(delete_vertices(G, 1 << v), field)
+    link_table = _cover_table(delete_vertices(G, G.near[v] | 1 << v), field)
     entries: dict[tuple[int, int], int] = {}
     add_shifted(entries, del_table, dj=1)
     add_shifted(entries, link_table, dj=t)
@@ -277,7 +276,7 @@ def chordal_split(G: Graph) -> SplitTree:
     chordal, _ = is_chordal(G)
     if not chordal:
         raise ValueError("graph is not chordal")
-    return _chordal_split_recurse(G, tuple(range(G.n)))
+    return _chordal_split_recurse(G, (1 << G.n) - 1)
 
 
 def _variable_tree(indices: tuple[int, ...], n: int) -> SplitTree:
@@ -290,28 +289,22 @@ def _variable_tree(indices: tuple[int, ...], n: int) -> SplitTree:
                      _variable_tree(indices[1:], n))
 
 
-def _chordal_split_recurse(G: Graph, active: tuple[int, ...]) -> SplitTree:
-    active_set = set(active)
-    comp_edges = [(u, v) for u, v in combinations(active, 2)
-                  if not G.has_edge(u, v)]
+def _chordal_split_recurse(G: Graph, active: int) -> SplitTree:
+    near = G.near
+    verts = [v for v in range(G.n) if active >> v & 1]
+    comp_edges = [(u, v) for u, v in combinations(verts, 2)
+                  if not near[u] >> v & 1]
     if not comp_edges:
         return SplitLeaf(None)
     if len(comp_edges) == 1:
         u, v = comp_edges[0]
         return SplitLeaf(mono_from_mask(1 << u | 1 << v, G.n))
-    adj = G.adjacency()
-    x = None
-    for v in active:
-        nb = sorted(adj[v] & active_set)
-        if all(b in adj[a] for a, b in combinations(nb, 2)):
-            x = v
-            break
+    x = next((v for v in verts if _is_clique(near, near[v] & active)), None)
     if x is None:  # unreachable for chordal graphs
         raise ValueError("no simplicial vertex in the active subgraph")
-    outside = tuple(sorted(active_set - adj[x] - {x}))
-    rest = tuple(v for v in active if v != x)
+    outside = tuple(v for v in verts if not (near[x] | 1 << x) >> v & 1)
     return SplitNode(x, _variable_tree(outside, G.n),
-                     _chordal_split_recurse(G, rest))
+                     _chordal_split_recurse(G, active ^ 1 << x))
 
 
 @dataclass(frozen=True)
@@ -336,7 +329,7 @@ def froberg_equivalence(G: Graph, field: FieldChoice = QQ) -> FrobergReport:
         raise ValueError("the equivalence needs at least one edge")
     ideal = edge_ideal(G)
     return FrobergReport(
-        complement_chordal=is_chordal(complement(G))[0],
+        complement_chordal=_complement_chordal(G),
         edge_ideal_linear_resolution=has_linear_resolution(ideal, field),
         edge_ideal_vertex_splittable=vertex_split(ideal) is not None,
         field=field.label)
@@ -365,7 +358,7 @@ def dual_complex_equivalence(G: Graph, field: FieldChoice = QQ) -> DualComplexRe
         raise ValueError("the equivalence needs at least one edge")
     dual = alexander_dual_complex(independence_complex(G))
     return DualComplexReport(
-        complement_chordal=is_chordal(complement(G))[0],
+        complement_chordal=_complement_chordal(G),
         dual_vertex_decomposable=vertex_decomposable(dual) is not None,
         dual_cohen_macaulay=is_cohen_macaulay(dual, field),
         field=field.label)

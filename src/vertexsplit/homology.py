@@ -31,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
+from math import isqrt
 
 from . import kernel
 from .betti import BettiTable, make_table
@@ -40,15 +41,9 @@ from .monomials import (MonomialIdeal, compress, degree, is_squarefree,
                         minimal_transversals, support_masks)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+# The largest characteristic accepted, a prime: it keeps the primality
+# test below to at most 46,340 trial divisions.
+MAX_CHARACTERISTIC = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -58,8 +53,12 @@ class FieldChoice:
     char: int = 0
 
     def __post_init__(self):
-        if self.char != 0 and not _is_prime(self.char):
-            raise ValueError(f"{self.char} is not prime")
+        p = self.char
+        if p > MAX_CHARACTERISTIC:
+            raise ValueError(f"field characteristic {p} is out of range; the "
+                             f"limit is {MAX_CHARACTERISTIC}")
+        if p and (p < 2 or not all(p % d for d in range(2, isqrt(p) + 1))):
+            raise ValueError(f"{p} is not prime")
 
     @classmethod
     def rationals(cls) -> "FieldChoice":
@@ -88,9 +87,9 @@ def parse_field(spec) -> FieldChoice:
     text = str(spec).strip().lower()
     if text in ("q", "qq", "0", "rationals"):
         return QQ
-    if text.startswith("p="):
-        return FieldChoice.prime(int(text[2:]))
-    return FieldChoice.prime(int(text))
+    from .formats import _bounded_int  # a top-level import would be circular
+    digits = text[2:] if text.startswith("p=") else text
+    return FieldChoice.prime(_bounded_int(digits, MAX_CHARACTERISTIC, "field"))
 
 
 def reduced_homology_dims(delta: SimplicialComplex,

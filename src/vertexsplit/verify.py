@@ -14,7 +14,7 @@ from random import Random
 
 from . import corpus
 from .betti import pd as table_pd, quotient_table, reg as table_reg
-from .complexes import bight, dual_facet_ideal, from_facets
+from .complexes import bight, dual_facet_ideal, from_facets, mask_to_set
 from .decomposition import (check_pd_equals_bight, oracle_pd_reg,
                             pd_reg_recursive, vertex_decomposable)
 from .graphs import (Graph, ScmNode, chordal_split, complement,
@@ -339,7 +339,7 @@ def suite_cover_recursion(max_n=5, seed=0, count=None, field=QQ) -> SuiteResult:
                                 "disagrees with the oracle")
             if is_chordal(G)[0]:
                 x = simplicial_vertex(G)
-                for y in sorted(G.neighbors(x)):
+                for y in sorted(mask_to_set(G.near[x])):
                     try:
                         table = cover_betti_recursive(G, y, field)
                     except ValueError as exc:

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from hashlib import sha256
 from math import comb
 from pathlib import Path
 from random import Random
@@ -12,6 +13,8 @@ from test_kernel import RP2_MASKS
 from vertexsplit import cli
 from vertexsplit.cli import main
 from vertexsplit.complexes import MAX_VERTICES
+from vertexsplit.corpus import random_graph
+from vertexsplit.formats import format_graph
 from vertexsplit.monomials import MAX_EXPONENT
 
 P3_IDEAL = "kind: ideal\nvars: x y z\nx*y\ny*z\n"
@@ -258,6 +261,29 @@ def test_classify_graph(files, capsys):
     assert "agree=True" in out
 
 
+# sha256 of the concatenated `classify --graph` stdout below, recorded
+# before the graph routines moved onto neighbour masks
+CLASSIFY_GRAPH_DIGEST = (
+    "b1cd0c3a64d16802281f420712e1bed767849386aef5f39e671fd94ebd26a263")
+
+
+def test_classify_graph_outputs_are_pinned(tmp_path, capsys):
+    # the elimination order, the SCM certificate, the dominating shedding
+    # vertices and both equivalence reports of 64 seeded graphs
+    outs = []
+    for n in range(2, 10):
+        rng = Random(n)
+        for k in range(8):
+            G = random_graph(n, rng.uniform(0.15, 0.85), rng)
+            p = tmp_path / f"{n}-{k}.g"
+            p.write_text(format_graph(G))
+            assert main(["classify", "--graph", str(p)]) == 0
+            outs.append(capsys.readouterr().out)
+    assert sum("certificate (" in out for out in outs) > 20
+    assert sum("elimination order" in out for out in outs) > 40
+    assert sha256("".join(outs).encode()).hexdigest() == CLASSIFY_GRAPH_DIGEST
+
+
 def test_classify_refuses_oversize(files, capsys):
     assert main(["classify", "--graph", files["p4.g"], "--max-n", "2"]) == 2
     assert "refusing" in capsys.readouterr().err
@@ -435,6 +461,26 @@ def test_a_long_digit_run_is_refused_by_its_length(tmp_path, capsys, option,
     assert captured.err == (f"error: {what} '99999999...99999999' (5000 "
                             f"characters) is out of range; the limit is "
                             f"{limit}\n")
+
+
+@pytest.mark.parametrize("field, shown", [
+    ("1000000000000000003", "field '1000000000000000003' (19 characters)"),
+    (LONG_RUN, "field '99999999...99999999' (5000 characters)"),
+    ("p=2147483659", "field characteristic 2147483659")])
+def test_a_field_above_the_limit_is_refused(files, capsys, field, shown):
+    # the first used to run trial division for about 10^9 steps
+    assert main(["betti", "--graph", files["p4.g"], "--field", field]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {shown} is out of range; the limit is "
+                            f"2147483647\n")
+
+
+def test_the_largest_field_still_answers(files, capsys):
+    for field in ("q", "2147483647"):
+        assert main(["betti", "--graph", files["p4.g"], "--field", field,
+                     "--format", "flat"]) == 0
+        assert capsys.readouterr().out == "0 2 3\n1 3 2\n"
 
 
 def test_gen_graph_and_complex(tmp_path):

@@ -5,11 +5,11 @@ from random import Random
 import pytest
 
 from conftest import mi, sq
-from vertexsplit.complexes import from_facets
+from vertexsplit.complexes import complex_of_ideal, from_facets
 from vertexsplit.corpus import all_graphs, random_graph
 from vertexsplit.decomposition import is_shedding
-from vertexsplit.graphs import (Graph, ScmLeaf, ScmNode, chordal_split,
-                                clique_complex, complement,
+from vertexsplit.graphs import (Graph, ScmLeaf, ScmNode, _complement_chordal,
+                                chordal_split, clique_complex, complement,
                                 complete_graph, cover_betti_recursive,
                                 cover_ideal, cycle_graph, delete_vertices,
                                 domination_shedding, dual_complex_equivalence,
@@ -73,7 +73,8 @@ def test_complement_and_complexes():
         delta = independence_complex(G)
         for f in delta.facets:
             members = [v for v in range(G.n) if f >> v & 1]
-            assert all(not G.has_edge(u, v) for u, v in combinations(members, 2))
+            assert all((u, v) not in G.edges
+                       for u, v in combinations(members, 2))
 
 
 def test_is_chordal_examples():
@@ -94,10 +95,10 @@ def test_peo_certificate_is_a_perfect_elimination_order():
             continue
         found += 1
         pos = {v: i for i, v in enumerate(order)}
-        adj = G.adjacency()
         for i, v in enumerate(order):
-            later = [u for u in adj[v] if pos[u] > i]
-            assert all(b in adj[a] for a, b in combinations(later, 2))
+            later = sorted(u for e in G.edges if v in e for u in e
+                           if pos[u] > i)
+            assert all(e in G.edges for e in combinations(later, 2))
     assert found > 20
 
 
@@ -106,8 +107,7 @@ def test_chordal_iff_no_induced_long_cycle():
     def has_induced_cycle(G):
         for size in (4, 5):
             for verts in combinations(range(G.n), size):
-                sub = [(u, v) for u, v in combinations(verts, 2)
-                       if G.has_edge(u, v)]
+                sub = [e for e in combinations(verts, 2) if e in G.edges]
                 if len(sub) != size:
                     continue
                 degrees = {}
@@ -158,6 +158,35 @@ def test_domination_shedding_cross_check():
                 assert is_shedding(delta, y)
 
 
+def test_mask_routines_match_set_definitions_exhaustively():
+    # references built from G.edges alone, on every graph with at most 5
+    # vertices and, for delete_vertices, every drop set
+    for n in range(6):
+        for G in all_graphs(n):
+            nbrs = [{u for e in G.edges if v in e for u in e if u != v}
+                    for v in range(n)]
+            assert G.near == tuple(sum(1 << u for u in s) for s in nbrs)
+            assert simplicial_vertex(G) == next(
+                (v for v in range(n) if all(
+                    e in G.edges for e in combinations(sorted(nbrs[v]), 2))),
+                None)
+            closed = [s | {v} for v, s in enumerate(nbrs)]
+            assert domination_shedding(G) == [
+                y for y in range(n)
+                if any(x != y and closed[x] <= closed[y] for x in range(n))]
+            assert is_bipartite(G) == any(
+                all((side >> u ^ side >> v) & 1 for u, v in G.edges)
+                for side in range(1 << n))
+            for drop in range(1 << n):
+                keep = [v for v in range(n) if not drop >> v & 1]
+                assert delete_vertices(G, drop) == graph(
+                    len(keep), [(keep.index(u), keep.index(v))
+                                for u, v in G.edges
+                                if u in keep and v in keep])
+            assert independence_complex(G) == complex_of_ideal(edge_ideal(G))
+            assert _complement_chordal(G) == is_chordal(complement(G))[0]
+
+
 def test_is_bipartite():
     assert is_bipartite(P4)
     assert is_bipartite(C4)
@@ -183,10 +212,9 @@ def test_scm_certificate_replays():
         if isinstance(c, ScmLeaf):
             assert not G.edges
             return
-        assert G.degree(c.x) == 1
-        assert G.has_edge(c.x, c.y)
-        replay(delete_vertices(G, G.closed_neighborhood(c.x)), c.without_x)
-        replay(delete_vertices(G, G.closed_neighborhood(c.y)), c.without_y)
+        assert [e for e in G.edges if c.x in e] == [tuple(sorted((c.x, c.y)))]
+        replay(delete_vertices(G, G.near[c.x] | 1 << c.x), c.without_x)
+        replay(delete_vertices(G, G.near[c.y] | 1 << c.y), c.without_y)
     replay(P4, cert)
 
 
