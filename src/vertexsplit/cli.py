@@ -19,12 +19,12 @@ from .betti import format_flat, format_grid
 from .complexes import is_pure, stanley_reisner_ideal
 from .corpus import random_complex, random_graph, random_splittable_ideal
 from .decomposition import pd_reg_recursive, vertex_decomposable
-from .formats import (ParseError, default_names, format_complex,
+from .formats import (ParseError, _check_size, default_names, format_complex,
                       format_decomposition_tree, format_graph, format_ideal,
                       format_quotient_order, format_scm_certificate,
                       format_split_tree, parse_complex, parse_graph,
                       parse_ideal)
-from .graphs import (complement, cover_ideal, domination_shedding,
+from .graphs import (_complement_chordal, cover_ideal, domination_shedding,
                      dual_complex_equivalence, edge_ideal, froberg_equivalence,
                      is_bipartite, is_chordal, is_scm_bipartite)
 from .homology import (betti_table, check_hochster_size, is_cohen_macaulay,
@@ -158,7 +158,7 @@ def _classify_graph(G, names, args, field) -> None:
               f"{' '.join(names[v] for v in peo)}")
     else:
         print("chordal: no")
-    print(f"complement chordal: {'yes' if is_chordal(complement(G))[0] else 'no'}")
+    print(f"complement chordal: {'yes' if _complement_chordal(G) else 'no'}")
     shedding = domination_shedding(G)
     print("dominating shedding vertices: "
           + (" ".join(names[v] for v in shedding) if shedding else "(none)"))
@@ -235,15 +235,17 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     rng = Random(args.seed)
+    extra = None
+    # a size that no parser reads back is refused before anything is drawn
     if args.kind == "graph":
-        text = format_graph(random_graph(args.n, args.p, rng))
-        extra = None
+        text = format_graph(random_graph(_check_size(args.n, "vertices"),
+                                         args.p, rng))
     elif args.kind == "complex":
-        text = format_complex(random_complex(args.n, args.facets, rng))
-        extra = None
+        text = format_complex(random_complex(_check_size(args.n, "vertices"),
+                                             args.facets, rng))
     else:  # splittable-ideal
-        ideal, tree = random_splittable_ideal(args.vars, rng,
-                                              max_gens=args.gens)
+        ideal, tree = random_splittable_ideal(
+            _check_size(args.vars, "variables"), rng, max_gens=args.gens)
         names = default_names(ideal.num_vars)
         text = format_ideal(ideal, names)
         extra = format_split_tree(tree, names) + "\n"

@@ -14,7 +14,7 @@ import re
 
 from .complexes import MAX_VERTICES, SimplicialComplex, from_facets, mask_to_set
 from .decomposition import DecompositionTree, SimplexLeaf
-from .graphs import Graph, ScmCertificate, ScmLeaf, graph
+from .graphs import Graph, ScmCertificate, ScmLeaf, delete_vertices, graph
 from .monomials import MAX_EXPONENT, Monomial, MonomialIdeal, minimalize
 from .splitting import LinearQuotientOrder, SplitLeaf, SplitTree
 
@@ -253,7 +253,6 @@ def format_decomposition_tree(tree: DecompositionTree, names) -> str:
 
 def format_scm_certificate(cert: ScmCertificate, G: Graph, names) -> str:
     """Nested `(x,y: WITHOUT-N[x] | WITHOUT-N[y])`, replayed against G."""
-    from .graphs import delete_vertices
     if isinstance(cert, ScmLeaf):
         return "edgeless"
     x, y = cert.x, cert.y

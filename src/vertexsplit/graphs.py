@@ -14,8 +14,7 @@ from itertools import combinations
 from typing import Optional, Union
 
 from .betti import BettiTable, add_shifted, make_table
-from .complexes import (SimplicialComplex, alexander_dual_complex,
-                        complex_of_supports)
+from .complexes import SimplicialComplex, complex_of_supports
 from .decomposition import is_shedding, vertex_decomposable
 from .homology import (FieldChoice, QQ, betti_table, has_linear_resolution,
                        is_cohen_macaulay)
@@ -353,10 +352,12 @@ class DualComplexReport:
 def dual_complex_equivalence(G: Graph, field: FieldChoice = QQ) -> DualComplexReport:
     """Evaluate independently: chordality of the complement, vertex
     decomposability and Cohen-Macaulayness of the Alexander dual of the
-    independence complex."""
+    independence complex.  The minimal non-faces of Ind(G) are the edges,
+    so the dual's facets are the edge complements."""
     if not G.edges:
         raise ValueError("the equivalence needs at least one edge")
-    dual = alexander_dual_complex(independence_complex(G))
+    dual = SimplicialComplex(G.n, frozenset(
+        ((1 << G.n) - 1) ^ (1 << u | 1 << v) for u, v in G.edges))
     return DualComplexReport(
         complement_chordal=_complement_chordal(G),
         dual_vertex_decomposable=vertex_decomposable(dual) is not None,

@@ -23,6 +23,9 @@ Alexander-dual form (Eagon-Reiner; Miller-Sturmfels, ch. 1): the dual of
 the Stanley-Reisner complex of J(G) is Ind(G), and the link of an
 independent set U in Ind(G) is Ind(G[V - N[U]]), so beta_{i,j}(J(G)) sums
 the homology of one table entry per independent U (`_cover_entries`).
+A square-free ideal is a cover ideal exactly when its minimal primes, the
+minimal transversals of its supports, all have two vertices; they are
+then the edges of G.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from math import isqrt
 
 from . import kernel
 from .betti import BettiTable, make_table
-from .complexes import (SimplicialComplex, complex_of_ideal, dual_facet_ideal,
-                        restrict_masks)
+from .complexes import SimplicialComplex, dual_facet_ideal, restrict_masks
 from .monomials import (MonomialIdeal, compress, degree, is_squarefree,
                         minimal_transversals, support_masks)
 
@@ -125,22 +127,25 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     unless every vertex of W has a neighbour in W, and one recursion over
     the subsets of the union fills in the homology of every W
     (`_independence_table`); its table holds one entry per subset, which
-    bounds the limit.  Every other ideal builds the facets of its
-    Stanley-Reisner complex, whose complements in the union are the
-    minimal primes of I.  When each prime has two vertices, I is the cover
-    ideal J(G) of the graph with those primes as edges, and the cover
-    route reads beta_{i,j} off the independence table of G by the dual
-    form of the formula (`_cover_entries`), with no lattice W.  Any other
-    ideal restricts the facets to each lattice W.  An ideal with a square
-    raises ValueError (`support_masks`).
+    bounds the limit.  Every other ideal takes its minimal primes, the
+    minimal transversals of the supports.  When each prime has two
+    vertices, I is the cover ideal J(G) of the graph with those primes as
+    edges, and the cover route reads beta_{i,j} off the independence
+    table of G by the dual form of the formula (`_cover_entries`), with no
+    lattice W.  Any other ideal restricts to each lattice W the facets of
+    its Stanley-Reisner complex, the complements of the primes in the
+    union.  The unit ideal, which has no Stanley-Reisner complex, and an
+    ideal with a square (`support_masks`) raise ValueError.
     """
     if I.is_zero:
         raise ValueError("the zero ideal has an empty resolution; no table")
+    if I.is_unit:
+        raise ValueError("the unit ideal has no Stanley-Reisner complex")
     supports = support_masks(I)
     union = 0
     for g in supports:
         union |= g
-    # refuse before building the complex, which can itself be huge
+    # refuse before taking the minimal primes, which can themselves be many
     check_hochster_size(union.bit_count())
     if all(s.bit_count() == 2 for s in supports):
         table, shapes = _independence_table(supports, field.char)
@@ -148,13 +153,12 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
         counts = Counter(zip(map(int.bit_count, range(len(table))), table))
         restrictions = ((j, shapes[s], c) for (j, s), c in counts.items())
     else:
-        facets = complex_of_ideal(I).facets
-        # the complements of the facets in the union are the minimal primes
-        primes = [union & ~f for f in facets]
+        primes = minimal_transversals(supports)
         if all(q.bit_count() == 2 for q in primes):
             return make_table(_cover_entries(primes, field.char), "ideal")
-        restrictions = _facet_restrictions(facets, supports, union,
-                                           field.char)
+        # the facets of the Stanley-Reisner complex, within the union
+        restrictions = _facet_restrictions([union ^ q for q in primes],
+                                           supports, union, field.char)
     entries: dict[tuple[int, int], int] = {}
     for j, dims, c in restrictions:
         for t, d in enumerate(dims):

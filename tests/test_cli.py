@@ -483,6 +483,27 @@ def test_the_largest_field_still_answers(files, capsys):
         assert capsys.readouterr().out == "0 2 3\n1 3 2\n"
 
 
+def test_gen_refuses_sizes_that_no_parser_reads_back(tmp_path, capsys):
+    from vertexsplit.formats import parse_complex, parse_graph, parse_ideal
+    for kind, option, parser in [("graph", "--n", parse_graph),
+                                 ("complex", "--n", parse_complex),
+                                 ("splittable-ideal", "--vars", parse_ideal)]:
+        over = tmp_path / f"{kind}-over.txt"
+        assert main(["gen", kind, option, str(MAX_VERTICES + 1),
+                     "-o", str(over)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert f"limit of {MAX_VERTICES}" in captured.err
+        assert not over.exists() and not Path(str(over) + ".tree").exists()
+        at = tmp_path / f"{kind}-at.txt"
+        assert main(["gen", kind, option, str(MAX_VERTICES),
+                     "-o", str(at)]) == 0
+        _, names = parser(at.read_text())
+        assert len(names) == MAX_VERTICES
+
+
 def test_gen_graph_and_complex(tmp_path):
     for kind, flags in [("graph", ["--n", "6", "--p", "0.5"]),
                         ("complex", ["--n", "5", "--facets", "4"])]:

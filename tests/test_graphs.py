@@ -5,9 +5,10 @@ from random import Random
 import pytest
 
 from conftest import mi, sq
-from vertexsplit.complexes import complex_of_ideal, from_facets
+from vertexsplit.complexes import (SimplicialComplex, alexander_dual_complex,
+                                   complex_of_ideal, from_facets)
 from vertexsplit.corpus import all_graphs, random_graph
-from vertexsplit.decomposition import is_shedding
+from vertexsplit.decomposition import is_shedding, vertex_decomposable
 from vertexsplit.graphs import (Graph, ScmLeaf, ScmNode, _complement_chordal,
                                 chordal_split, clique_complex, complement,
                                 complete_graph, cover_betti_recursive,
@@ -17,7 +18,7 @@ from vertexsplit.graphs import (Graph, ScmLeaf, ScmNode, _complement_chordal,
                                 independence_complex, is_bipartite,
                                 is_chordal, is_scm_bipartite, path_graph,
                                 simplicial_vertex)
-from vertexsplit.homology import betti_table
+from vertexsplit.homology import betti_table, is_cohen_macaulay
 from vertexsplit.monomials import (alexander_dual_ideal, intersect,
                                    unit_ideal, variable_ideal)
 from vertexsplit.splitting import (quotient_order_from_split,
@@ -185,6 +186,15 @@ def test_mask_routines_match_set_definitions_exhaustively():
                                 if u in keep and v in keep])
             assert independence_complex(G) == complex_of_ideal(edge_ideal(G))
             assert _complement_chordal(G) == is_chordal(complement(G))[0]
+            if G.edges:
+                # the dual of Ind(G) has the edge complements as facets
+                dual = alexander_dual_complex(independence_complex(G))
+                assert dual == SimplicialComplex(n, frozenset(
+                    ((1 << n) - 1) ^ (1 << u | 1 << v) for u, v in G.edges))
+                report = dual_complex_equivalence(G)
+                assert report.dual_vertex_decomposable == (
+                    vertex_decomposable(dual) is not None)
+                assert report.dual_cohen_macaulay == is_cohen_macaulay(dual)
 
 
 def test_is_bipartite():

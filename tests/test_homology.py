@@ -65,6 +65,8 @@ def test_hochster_examples():
     assert hochster_betti(sq("x", "y")).entries == {(0, 1): 2, (1, 2): 1}
     with pytest.raises(ValueError):
         hochster_betti(zero_ideal(3))
+    with pytest.raises(ValueError, match="unit ideal"):
+        hochster_betti(unit_ideal(3))
     with pytest.raises(ValueError, match="2\\^31 vertex subsets"):
         hochster_betti(variable_ideal(31, range(31)))
     # the limit counts the variables of the generators: x0*x1, x1*x2 in 35
