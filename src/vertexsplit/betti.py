@@ -34,11 +34,6 @@ class BettiTable:
     def sorted_entries(self) -> list[tuple[int, int, int]]:
         return [(i, j, r) for (i, j), r in sorted(self.entries.items())]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BettiTable):
-            return NotImplemented
-        return self.subject == other.subject and self.entries == other.entries
-
 
 def make_table(entries, subject: str = "ideal") -> BettiTable:
     """Build a table, dropping zero ranks."""

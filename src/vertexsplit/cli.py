@@ -24,9 +24,9 @@ from .formats import (ParseError, _check_size, default_names, format_complex,
                       format_quotient_order, format_scm_certificate,
                       format_split_tree, parse_complex, parse_graph,
                       parse_ideal)
-from .graphs import (_complement_chordal, cover_ideal, domination_shedding,
-                     dual_complex_equivalence, edge_ideal, froberg_equivalence,
-                     is_bipartite, is_chordal, is_scm_bipartite)
+from .graphs import (cover_ideal, domination_shedding, dual_complex_equivalence,
+                     edge_ideal, froberg_equivalence, is_bipartite, is_chordal,
+                     is_scm_bipartite)
 from .homology import (betti_table, check_hochster_size, is_cohen_macaulay,
                        parse_field)
 from .monomials import is_squarefree
@@ -158,7 +158,7 @@ def _classify_graph(G, names, args, field) -> None:
               f"{' '.join(names[v] for v in peo)}")
     else:
         print("chordal: no")
-    print(f"complement chordal: {'yes' if _complement_chordal(G) else 'no'}")
+    print(f"complement chordal: {'yes' if G.complement_chordal else 'no'}")
     shedding = domination_shedding(G)
     print("dominating shedding vertices: "
           + (" ".join(names[v] for v in shedding) if shedding else "(none)"))
@@ -233,6 +233,11 @@ def cmd_verify(args) -> int:
     return VIOLATION if failed else 0
 
 
+# `gen complex` draws up to --facets masks into one list before reducing
+# them to an antichain; at this limit, on 63 vertices, that holds tens of MB
+MAX_FACETS = 2**16
+
+
 def cmd_gen(args) -> int:
     rng = Random(args.seed)
     extra = None
@@ -241,8 +246,9 @@ def cmd_gen(args) -> int:
         text = format_graph(random_graph(_check_size(args.n, "vertices"),
                                          args.p, rng))
     elif args.kind == "complex":
-        text = format_complex(random_complex(_check_size(args.n, "vertices"),
-                                             args.facets, rng))
+        text = format_complex(random_complex(
+            _check_size(args.n, "vertices"),
+            _check_size(args.facets, "facets", MAX_FACETS), rng))
     else:  # splittable-ideal
         ideal, tree = random_splittable_ideal(
             _check_size(args.vars, "variables"), rng, max_gens=args.gens)

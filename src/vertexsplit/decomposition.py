@@ -73,18 +73,17 @@ def vertex_decomposable(delta: SimplicialComplex) -> Optional[DecompositionTree]
     complexes need a shedding vertex whose deletion and link both recurse.
     Vertices are tried in ascending order and the first certificate wins.
     """
-    return _decompose(delta.ground_size, delta.facets)
+    return _decompose(delta)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _decompose(n: int, facets: frozenset[int]) -> Optional[DecompositionTree]:
-    """`vertex_decomposable` of the complex with these facets."""
-    delta = SimplicialComplex(n, facets)
+def _decompose(delta: SimplicialComplex) -> Optional[DecompositionTree]:
+    """`vertex_decomposable`, memoized under the frozen complex itself."""
     if is_simplex(delta):
-        return SimplexLeaf(next(iter(facets)), n)
+        return SimplexLeaf(next(iter(delta.facets)), delta.ground_size)
     vertices = delta.vertex_mask
-    for x in range(n):
-        if not vertices >> x & 1 or not _sheds(facets, 1 << x):
+    for x in range(delta.ground_size):
+        if not vertices >> x & 1 or not _sheds(delta.facets, 1 << x):
             continue
         del_tree = vertex_decomposable(deletion(delta, x))
         if del_tree is None:

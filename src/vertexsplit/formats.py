@@ -23,10 +23,10 @@ class ParseError(ValueError):
     pass
 
 
-def _check_size(count: int, what: str) -> int:
-    """The declared or implied size count; ParseError above MAX_VERTICES."""
-    if count > MAX_VERTICES:
-        raise ParseError(f"{count} {what} exceed the limit of {MAX_VERTICES}")
+def _check_size(count: int, what: str, limit: int = MAX_VERTICES) -> int:
+    """The declared or implied size count; ParseError above limit."""
+    if count > limit:
+        raise ParseError(f"{count} {what} exceed the limit of {limit}")
     return count
 
 

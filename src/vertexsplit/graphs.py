@@ -4,6 +4,9 @@ recursive sequentially Cohen-Macaulay test for bipartite graphs, the
 cover-ideal Betti recursion, and the equivalences tying linear resolutions
 of edge ideals to chordal complements.  Every routine reads one adjacency,
 `Graph.near`, the neighbour mask of each vertex derived from the edges.
+The chordality of the complement, which the command line and both
+equivalence reports read, is derived once per graph, as
+`Graph.complement_chordal`.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ class Graph:
             near[u] |= 1 << v
             near[v] |= 1 << u
         return tuple(near)
+
+    @cached_property
+    def complement_chordal(self) -> bool:
+        """Chordality of the complement, derived once."""
+        return is_chordal(complement(self))[0]
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -138,13 +146,6 @@ def is_chordal(G: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     """
     order = _elimination_order(G.near)
     return order is not None, order
-
-
-def _complement_chordal(G: Graph) -> bool:
-    """Chordality of the complement of G, read off its neighbour masks."""
-    full = (1 << G.n) - 1
-    return _elimination_order(tuple(full ^ (m | 1 << v)
-                                    for v, m in enumerate(G.near))) is not None
 
 
 def simplicial_vertex(G: Graph) -> Optional[int]:
@@ -328,7 +329,7 @@ def froberg_equivalence(G: Graph, field: FieldChoice = QQ) -> FrobergReport:
         raise ValueError("the equivalence needs at least one edge")
     ideal = edge_ideal(G)
     return FrobergReport(
-        complement_chordal=_complement_chordal(G),
+        complement_chordal=G.complement_chordal,
         edge_ideal_linear_resolution=has_linear_resolution(ideal, field),
         edge_ideal_vertex_splittable=vertex_split(ideal) is not None,
         field=field.label)
@@ -359,7 +360,7 @@ def dual_complex_equivalence(G: Graph, field: FieldChoice = QQ) -> DualComplexRe
     dual = SimplicialComplex(G.n, frozenset(
         ((1 << G.n) - 1) ^ (1 << u | 1 << v) for u, v in G.edges))
     return DualComplexReport(
-        complement_chordal=_complement_chordal(G),
+        complement_chordal=G.complement_chordal,
         dual_vertex_decomposable=vertex_decomposable(dual) is not None,
         dual_cohen_macaulay=is_cohen_macaulay(dual, field),
         field=field.label)

@@ -147,9 +147,11 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
         union |= g
     # refuse before taking the minimal primes, which can themselves be many
     check_hochster_size(union.bit_count())
+    # the k vertices of the union renumbered 0..k-1, once; W keeps its size
+    supports = compress(supports, union)
+    union = (1 << union.bit_count()) - 1
     if all(s.bit_count() == 2 for s in supports):
         table, shapes = _independence_table(supports, field.char)
-        # W renumbered into the union keeps its size
         counts = Counter(zip(map(int.bit_count, range(len(table))), table))
         restrictions = ((j, shapes[s], c) for (j, s), c in counts.items())
     else:
@@ -193,12 +195,9 @@ def _cover_entries(edges: list[int], p: int) -> dict[tuple[int, int], int]:
     degree i - 1; a U that is not independent is no face and adds nothing.
     That link is Ind(G[V - N[U]]), whose dims `_independence_table` holds
     at index t = i.  The independent U are walked depth-first, each
-    reached once by adding its vertices in increasing order.
+    reached once by adding its vertices in increasing order.  The edges
+    lie on vertices 0..k-1, each on some edge.
     """
-    union = 0
-    for e in edges:
-        union |= e
-    edges = compress(edges, union)
     table, shapes = _independence_table(edges, p)
     near = _neighbours(edges)
     full = len(table) - 1
@@ -233,7 +232,7 @@ def _neighbours(edges: list[int]) -> dict[int, int]:
 
 def _independence_table(edges: list[int], p: int):
     """Reduced homology of Ind(G[W]) for every vertex set W of the graph
-    with these edge masks, its n vertices renumbered 0..n-1 in order.
+    with these edge masks, on vertices 0..k-1, each on some edge.
 
     Returns (table, shapes): the dims h[W] of W are shapes[table[W]],
     indexed t = degree + 1, with trailing zeros dropped, so () is zero
@@ -254,10 +253,6 @@ def _independence_table(edges: list[int], p: int):
       complements in W of the minimal vertex covers of its edges, built
       and passed to the kernel.
     """
-    union = 0
-    for e in edges:
-        union |= e
-    edges = compress(edges, union)
     near = _neighbours(edges)
     shapes: list[tuple[int, ...]] = [(), (1,)]
     ids = {(): 0, (1,): 1}
@@ -276,7 +271,7 @@ def _independence_table(edges: list[int], p: int):
             support.append(sum(1 << t for t, d in enumerate(dims) if d))
         return s
 
-    table = [0] * (1 << union.bit_count())
+    table = [0] * (1 << len(near))
     table[0] = 1
     for w in range(1, len(table)):
         rest = w

@@ -73,7 +73,7 @@ def variable(n: int, i: int) -> Monomial:
 
 def mono_from_mask(mask: int, n: int) -> Monomial:
     """Square-free monomial with support given by a bitmask."""
-    return tuple(1 if mask >> i & 1 else 0 for i in range(n))
+    return tuple(mask >> i & 1 for i in range(n))
 
 
 def compress(masks: Iterable[int], support: int) -> list[int]:

@@ -504,6 +504,16 @@ def test_gen_refuses_sizes_that_no_parser_reads_back(tmp_path, capsys):
         assert len(names) == MAX_VERTICES
 
 
+def test_gen_refuses_more_facets_than_it_bounds(tmp_path, capsys):
+    out = tmp_path / "complex.txt"
+    assert main(["gen", "complex", "--n", "63", "--facets", "65537",
+                 "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 65537 facets exceed the limit of 65536\n"
+    assert not out.exists()
+
+
 def test_gen_graph_and_complex(tmp_path):
     for kind, flags in [("graph", ["--n", "6", "--p", "0.5"]),
                         ("complex", ["--n", "5", "--facets", "4"])]:

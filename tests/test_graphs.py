@@ -8,10 +8,13 @@ from conftest import mi, sq
 from vertexsplit.complexes import (SimplicialComplex, alexander_dual_complex,
                                    complex_of_ideal, from_facets)
 from vertexsplit.corpus import all_graphs, random_graph
+from vertexsplit import graphs
+from vertexsplit.cli import main
 from vertexsplit.decomposition import is_shedding, vertex_decomposable
-from vertexsplit.graphs import (Graph, ScmLeaf, ScmNode, _complement_chordal,
-                                chordal_split, clique_complex, complement,
-                                complete_graph, cover_betti_recursive,
+from vertexsplit.formats import format_graph
+from vertexsplit.graphs import (Graph, ScmLeaf, ScmNode, chordal_split,
+                                clique_complex, complement, complete_graph,
+                                cover_betti_recursive,
                                 cover_ideal, cycle_graph, delete_vertices,
                                 domination_shedding, dual_complex_equivalence,
                                 edge_ideal, froberg_equivalence, graph,
@@ -185,7 +188,7 @@ def test_mask_routines_match_set_definitions_exhaustively():
                                 for u, v in G.edges
                                 if u in keep and v in keep])
             assert independence_complex(G) == complex_of_ideal(edge_ideal(G))
-            assert _complement_chordal(G) == is_chordal(complement(G))[0]
+            assert G.complement_chordal == is_chordal(complement(G))[0]
             if G.edges:
                 # the dual of Ind(G) has the edge complements as facets
                 dual = alexander_dual_complex(independence_complex(G))
@@ -313,6 +316,29 @@ def test_dual_complex_equivalence_examples():
     assert r.all_agree and not r.complement_chordal
     with pytest.raises(ValueError):
         dual_complex_equivalence(graph(2, []))
+
+
+def test_the_complement_is_searched_once_per_graph(monkeypatch, tmp_path,
+                                                    capsys):
+    searched = []
+    search = graphs._elimination_order
+
+    def spy(near):
+        searched.append(near)
+        return search(near)
+    monkeypatch.setattr(graphs, "_elimination_order", spy)
+    # both reports read one chordality test of the complement
+    G = graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    assert froberg_equivalence(G).all_agree
+    assert dual_complex_equivalence(G).all_agree
+    assert searched == [complement(G).near]
+    # classify --graph searches G and its complement, once each
+    searched.clear()
+    p = tmp_path / "g.g"
+    p.write_text(format_graph(G))
+    assert main(["classify", "--graph", str(p)]) == 0
+    assert "complement chordal: yes" in capsys.readouterr().out
+    assert sorted(searched) == sorted([G.near, complement(G).near])
 
 
 def test_equivalences_agree_on_all_small_graphs():

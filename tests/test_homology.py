@@ -398,7 +398,9 @@ def test_cover_tables_equal_the_facet_and_koszul_routes(kernel_calls, p):
     field = FieldChoice(p)
     for G in (path_graph(5), cycle_graph(5), cycle_graph(7),
               graph(6, [(0, 1), (2, 3), (4, 5), (1, 2)]),
-              graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])):
+              graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]),
+              # isolated vertices 1, 3 and 5 between covered ones
+              graph(7, [(0, 2), (2, 4), (4, 6), (2, 6)])):
         I = cover_ideal(G)
         assert hochster_betti(I, field) == facet_route_table(I, p) \
             == koszul_betti(I, field)
@@ -430,8 +432,10 @@ def test_only_cover_ideals_take_the_cover_route(routes):
         {(0, 1): 1, (0, 2): 1, (1, 3): 1}
     assert routes == ["_cover_entries"]
     # (xyz) has the primes x, y and z; the next ideal has the prime xyz
-    # and the last the prime z
-    for I in (sq("xyz"), sq("xyz", "wx", "wy", "wz"), sq("xyz", "zw")):
+    # and the next the prime z; the last, x1x3x5 and x3x6 in 7 variables,
+    # has the prime x3 and a support that skips variables
+    for I in (sq("xyz"), sq("xyz", "wx", "wy", "wz"), sq("xyz", "zw"),
+              squarefree_ideal([0b101010, 0b1001000], 7)):
         routes.clear()
         assert hochster_betti(I) == koszul_betti(I)
         assert routes == ["_facet_restrictions"]
