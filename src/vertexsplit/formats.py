@@ -31,12 +31,17 @@ def _check_size(count: int, what: str, limit: int = MAX_VERTICES) -> int:
 
 
 def _bounded_int(digits: str, limit: int, what: str) -> int:
-    """The value of a digit run; ParseError when it has more digits than
-    limit, checked before int() sees it, which refuses runs of more than
-    4,300 digits with a message about the interpreter, not the input."""
+    """The value of a non-empty run of ASCII digits; any other text is a
+    ParseError that names `what`, since int() takes signs, spaces and
+    underscores and refuses the rest with a message about Python literals.
+    A run with more digits than limit is refused by its length before
+    int() sees it, which refuses runs of more than 4,300 digits with a
+    message about the interpreter, not the input."""
+    shown = digits if len(digits) <= 20 else f"{digits[:8]}...{digits[-8:]}"
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{what} {shown!r} is not a run of digits 0-9")
     value = digits.lstrip("0") or "0"
     if len(value) > len(str(limit)):
-        shown = digits if len(digits) <= 20 else f"{digits[:8]}...{digits[-8:]}"
         raise ParseError(f"{what} {shown!r} ({len(digits)} characters) is "
                          f"out of range; the limit is {limit}")
     return int(value)

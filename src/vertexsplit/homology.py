@@ -30,6 +30,7 @@ then the edges of G.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,7 +41,7 @@ from . import kernel
 from .betti import BettiTable, make_table
 from .complexes import SimplicialComplex, dual_facet_ideal, restrict_masks
 from .monomials import (MonomialIdeal, compress, degree, is_squarefree,
-                        minimal_transversals, support_masks)
+                        minimal_transversals, squarefree_ideal, support_masks)
 
 
 # The largest characteristic accepted, a prime: it keeps the primality
@@ -68,6 +69,8 @@ class FieldChoice:
 
     @classmethod
     def prime(cls, p: int) -> "FieldChoice":
+        if p < 2:  # char 0 is the rationals, which are no prime field
+            raise ValueError(f"{p} is not prime")
         return cls(p)
 
     @property
@@ -151,8 +154,11 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     supports = compress(supports, union)
     union = (1 << union.bit_count()) - 1
     if all(s.bit_count() == 2 for s in supports):
-        table, shapes = _independence_table(supports, field.char)
-        counts = Counter(zip(map(int.bit_count, range(len(table))), table))
+        table, shapes = _independence_table(supports, _neighbours(supports),
+                                            field.char)
+        # entry 0, zero homology as on every cone, adds nothing: skip it
+        counts = Counter(zip(map(int.bit_count, itertools.compress(
+            range(len(table)), table)), filter(None, table)))
         restrictions = ((j, shapes[s], c) for (j, s), c in counts.items())
     else:
         primes = minimal_transversals(supports)
@@ -198,8 +204,8 @@ def _cover_entries(edges: list[int], p: int) -> dict[tuple[int, int], int]:
     reached once by adding its vertices in increasing order.  The edges
     lie on vertices 0..k-1, each on some edge.
     """
-    table, shapes = _independence_table(edges, p)
     near = _neighbours(edges)
+    table, shapes = _independence_table(edges, near, p)
     full = len(table) - 1
     k = full.bit_count()
     counts: Counter = Counter()
@@ -230,9 +236,10 @@ def _neighbours(edges: list[int]) -> dict[int, int]:
     return near
 
 
-def _independence_table(edges: list[int], p: int):
+def _independence_table(edges: list[int], near: dict[int, int], p: int):
     """Reduced homology of Ind(G[W]) for every vertex set W of the graph
-    with these edge masks, on vertices 0..k-1, each on some edge.
+    with these edge masks, on vertices 0..k-1, each on some edge, and
+    with the neighbour masks `_neighbours(edges)`.
 
     Returns (table, shapes): the dims h[W] of W are shapes[table[W]],
     indexed t = degree + 1, with trailing zeros dropped, so () is zero
@@ -253,7 +260,6 @@ def _independence_table(edges: list[int], p: int):
       complements in W of the minimal vertex covers of its edges, built
       and passed to the kernel.
     """
-    near = _neighbours(edges)
     shapes: list[tuple[int, ...]] = [(), (1,)]
     ids = {(): 0, (1,): 1}
     # bit t is set when the dims at t are nonzero
@@ -322,17 +328,26 @@ def betti_table(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     subset-restriction formula, all others through the upper Koszul route;
     the two agree on the overlap and tests enforce that.  The zero ideal
     has the empty table.  Tables are memoized under the labelled
-    generators, so a relabeling of an ideal already seen is a miss.
+    generators, so a relabeling of an ideal already seen is a miss.  An
+    ideal that `squarefree_ideal` built is keyed by its frozenset of
+    support masks, any other by its sorted exponent tuples, so no lookup
+    scans for squares or writes tuples; the same ideal built both ways is
+    two entries.
     """
     if I.is_zero:
         return make_table({}, "ideal")
-    return _table(I.num_vars, tuple(I.sorted_gens()), field.char)
+    key = tuple(I.sorted_gens()) if I.masks is None else I.masks
+    return _table(I.num_vars, key, field.char)
 
 
 @lru_cache(maxsize=kernel.MEMO_SIZE)
-def _table(n: int, gens: tuple, p: int) -> BettiTable:
-    """`betti_table` of the nonzero ideal with these sorted generators."""
-    I = MonomialIdeal(n, frozenset(gens))
+def _table(n: int, key: frozenset | tuple, p: int) -> BettiTable:
+    """`betti_table` of the nonzero ideal with these support masks (a
+    frozenset) or sorted generators (a tuple)."""
+    if isinstance(key, frozenset):
+        I = squarefree_ideal(key, n)
+    else:
+        I = MonomialIdeal(n, frozenset(key))
     if is_squarefree(I) and not I.is_unit:
         return hochster_betti(I, FieldChoice(p))
     return koszul_betti(I, FieldChoice(p))
@@ -342,7 +357,8 @@ def has_linear_resolution(I: MonomialIdeal, field: FieldChoice = QQ) -> bool:
     """True iff I is generated in one degree d and beta_{i,j} = 0 off j = i+d."""
     if I.is_zero:
         raise ValueError("linear resolution is undefined for the zero ideal")
-    degrees = {degree(g) for g in I.gens}
+    degrees = ({degree(g) for g in I.gens} if I.masks is None
+               else set(map(int.bit_count, I.masks)))
     if len(degrees) > 1:
         return False
     d = degrees.pop()

@@ -9,17 +9,22 @@ ideal is generated by the unit monomial.
 
 Complexes and graphs are vertex bitmasks instead, and a square-free
 generator is its support mask (bit i set when x_i divides it).  This module
-owns that format: `support_masks` reads the masks of a square-free ideal,
-`squarefree_ideal` writes the ideal of an antichain of masks, and no other
+owns that format: `squarefree_ideal` builds the ideal of an antichain of
+masks, `support_masks` reads the masks of a square-free ideal, and no other
 module converts between the two (`splitting` searches stacked masks of
-exponent ranks, a format of its own).  The mask routines `compress`,
-`_max_antichain` and `minimal_transversals` live here too, so the kernel
-imports no other module of the package.
+exponent ranks, a format of its own).  An ideal that `squarefree_ideal`
+built keeps its masks (`MonomialIdeal.masks`) and writes its exponent
+tuples only when `gens` is first read, so the ideals of graphs and
+complexes reach the oracle and the split search as masks.  Equality, hash
+and repr are those of the generators, however the ideal was built.  The
+mask routines `compress`, `_max_antichain` and `minimal_transversals` live
+here too, so the kernel imports no other module of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import lshift
 from typing import Iterable
 
@@ -129,16 +134,29 @@ def minimal_transversals(masks: Iterable[int]) -> frozenset[int]:
     return frozenset(transversals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialIdeal:
     """A monomial ideal, canonically stored by its minimal generators.
 
-    Build instances through :func:`minimalize` (or the convenience
-    constructors below) so the antichain invariant holds.
+    Build instances through :func:`minimalize`, :func:`squarefree_ideal`
+    (or the convenience constructors below) so the antichain invariant
+    holds.  Equality and hashing are those of (num_vars, gens), however
+    the ideal was built.
     """
 
     num_vars: int
     gens: frozenset[Monomial]
+    # the support masks of an ideal that `squarefree_ideal` built, None on
+    # any other
+    masks = None
+
+    def __eq__(self, other):
+        if not isinstance(other, MonomialIdeal):
+            return NotImplemented
+        return (self.num_vars, self.gens) == (other.num_vars, other.gens)
+
+    def __hash__(self) -> int:
+        return hash((self.num_vars, self.gens))
 
     @property
     def is_zero(self) -> bool:
@@ -157,6 +175,28 @@ class MonomialIdeal:
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.sorted_gens())
         return f"MonomialIdeal({self.num_vars}, [{gens}])"
+
+
+class _MaskIdeal(MonomialIdeal):
+    """A square-free ideal built from the antichain of its support masks:
+    it keeps them and writes its exponent tuples once, when `gens` is first
+    read.  Ideals built from tuples keep `gens` a plain attribute."""
+
+    def __init__(self, num_vars: int, masks: frozenset[int]):
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "masks", masks)
+
+    @cached_property
+    def gens(self) -> frozenset[Monomial]:
+        return frozenset(mono_from_mask(m, self.num_vars) for m in self.masks)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.masks
+
+    @property
+    def is_unit(self) -> bool:
+        return 0 in self.masks
 
 
 def minimalize(gens: Iterable[Monomial], n: int) -> MonomialIdeal:
@@ -228,21 +268,25 @@ def x_partition(I: MonomialIdeal, x: int) -> tuple[MonomialIdeal, MonomialIdeal]
 
 def is_squarefree(I: MonomialIdeal) -> bool:
     """True iff no exponent of a generator exceeds one."""
-    return not (I.num_vars and I.gens) or max(map(max, I.gens)) <= 1
+    return (I.masks is not None or not (I.num_vars and I.gens)
+            or max(map(max, I.gens)) <= 1)
 
 
-def support_masks(I: MonomialIdeal) -> list[int]:
+def support_masks(I: MonomialIdeal) -> frozenset[int]:
     """The support masks of the generators of a square-free ideal; a
     generator with a square raises ValueError."""
+    if I.masks is not None:
+        return I.masks
     if not is_squarefree(I):
         raise ValueError("the ideal has a square, so it is not square-free")
-    return [sum(map(lshift, g, range(I.num_vars))) for g in I.gens]
+    return frozenset(sum(map(lshift, g, range(I.num_vars))) for g in I.gens)
 
 
 def squarefree_ideal(masks: Iterable[int], n: int) -> MonomialIdeal:
     """The square-free ideal in n variables whose generators have these
-    support masks, which must form an antichain under inclusion."""
-    return MonomialIdeal(n, frozenset(mono_from_mask(m, n) for m in masks))
+    support masks, which must form an antichain under inclusion.  It keeps
+    the masks and writes the exponent tuples only when `gens` is read."""
+    return _MaskIdeal(n, frozenset(masks))
 
 
 def multiply(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:

@@ -61,8 +61,12 @@ def vertex_split(I: MonomialIdeal) -> Optional[SplitTree]:
     certificate is the same and x^1048576 costs two bits.  `_split`, the
     memo `cache_info()["split"]` reports, searches the stacked masks of the
     ranks; only a tree whose ranks differ from its exponents has its leaves
-    mapped back.
+    mapped back.  A square-free ideal's stacked masks are its support
+    masks, which an ideal that `squarefree_ideal` built hands over as they
+    are.
     """
+    if I.masks is not None:
+        return _split(I.num_vars, I.masks)
     n, gens = I.num_vars, I.gens
     values = None
     if not is_squarefree(I):

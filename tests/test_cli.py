@@ -476,6 +476,33 @@ def test_a_field_above_the_limit_is_refused(files, capsys, field, shown):
                             f"2147483647\n")
 
 
+@pytest.mark.parametrize("field, message", [
+    ("p=", "field '' is not a run of digits 0-9"),
+    ("", "field '' is not a run of digits 0-9"),
+    ("p=0", "0 is not prime"),
+    ("p=00", "0 is not prime"),
+    ("xyz", "field 'xyz' is not a run of digits 0-9")])
+def test_a_field_that_is_no_prime_is_refused(files, capsys, field, message):
+    # the first four used to compute over QQ and exit 0
+    assert main(["betti", "--graph", files["p4.g"], "--field", field]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n x\n0 1\n", "vertex count 'x' is not a run of digits 0-9"),
+    ("n 4\n0 x\n", "vertex 'x' is not a run of digits 0-9")])
+def test_a_graph_number_that_is_no_digit_run_is_refused(tmp_path, capsys,
+                                                        text, message):
+    p = tmp_path / "bad.g"
+    p.write_text(text)
+    assert main(["betti", "--graph", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_the_largest_field_still_answers(files, capsys):
     for field in ("q", "2147483647"):
         assert main(["betti", "--graph", files["p4.g"], "--field", field,

@@ -8,7 +8,7 @@ from conftest import mi, sq
 from vertexsplit.complexes import (SimplicialComplex, alexander_dual_complex,
                                    complex_of_ideal, from_facets)
 from vertexsplit.corpus import all_graphs, random_graph
-from vertexsplit import graphs
+from vertexsplit import clear_caches, graphs, monomials
 from vertexsplit.cli import main
 from vertexsplit.decomposition import is_shedding, vertex_decomposable
 from vertexsplit.formats import format_graph
@@ -339,6 +339,30 @@ def test_the_complement_is_searched_once_per_graph(monkeypatch, tmp_path,
     assert main(["classify", "--graph", str(p)]) == 0
     assert "complement chordal: yes" in capsys.readouterr().out
     assert sorted(searched) == sorted([G.near, complement(G).near])
+
+
+@pytest.mark.parametrize("G", [cycle_graph(7), complement(path_graph(7))])
+def test_graph_ideals_reach_the_oracle_as_masks(monkeypatch, G):
+    # the edge ideal and the dual's facet ideal are square-free ideals that
+    # keep their support masks; `monomials.mono_from_mask` is the one writer
+    # of their exponent tuples
+    written = []
+    write = monomials.mono_from_mask
+
+    def spy(mask, n):
+        written.append(mask)
+        return write(mask, n)
+    monkeypatch.setattr(monomials, "mono_from_mask", spy)
+    clear_caches()
+    edge = froberg_equivalence(G)
+    dual = dual_complex_equivalence(G)
+    assert edge.all_agree and dual.all_agree
+    assert edge.complement_chordal == (G != cycle_graph(7))
+    assert written == []
+    # the tuples are still written on demand, once per generator
+    assert edge_ideal(G).gens == {tuple(int(v in e) for v in range(7))
+                                  for e in G.edges}
+    assert len(written) == len(G.edges)
 
 
 def test_equivalences_agree_on_all_small_graphs():

@@ -258,7 +258,9 @@ def edge_masks(G):
 def recursion_homology(G, p=0):
     """Nonzero reduced homology of Ind(G) from the subset recursion, for a
     graph with every vertex on an edge."""
-    table, shapes = homology._independence_table(edge_masks(G), p)
+    edges = edge_masks(G)
+    table, shapes = homology._independence_table(
+        edges, homology._neighbours(edges), p)
     return {t - 1: d for t, d in enumerate(shapes[table[-1]]) if d}
 
 
@@ -323,7 +325,9 @@ REGULAR8 = graph(8, [(int(e[0]), int(e[1])) for e in (
 @pytest.mark.parametrize("p", [0, 2, 3])
 def test_the_kernel_fallback_runs_only_where_every_vertex_collides(
         kernel_calls, p):
-    table, shapes = homology._independence_table(edge_masks(REGULAR8), p)
+    edges = edge_masks(REGULAR8)
+    table, shapes = homology._independence_table(
+        edges, homology._neighbours(edges), p)
     full = len(table) - 1
     assert shapes[table[full]] == (0, 1, 2)
     for u, row in enumerate(REGULAR8.near):
@@ -362,7 +366,8 @@ def independent_facets(edges, w):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(covered_graphs(), st.sampled_from([0, 2, 3]))
 def test_the_recursion_is_exact_at_every_vertex_set(edges, p):
-    table, shapes = homology._independence_table(edges, p)
+    table, shapes = homology._independence_table(
+        edges, homology._neighbours(edges), p)
     for w, s in enumerate(table):
         dims = kernel.homology_dims(independent_facets(edges, w), p)
         assert shapes[s] + (0,) * (len(dims) - len(shapes[s])) == dims

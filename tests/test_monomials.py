@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import ideals_equal_by_membership, member, mi, sq
+from vertexsplit.homology import betti_table
 from vertexsplit.monomials import (MonomialIdeal, _max_antichain,
                                    alexander_dual_ideal, colon, divides,
                                    intersect, is_squarefree, is_subideal,
@@ -11,6 +12,7 @@ from vertexsplit.monomials import (MonomialIdeal, _max_antichain,
                                    mono_from_mask, multiply, squarefree_ideal,
                                    support_masks, unit_ideal, variable,
                                    x_partition, zero_ideal)
+from vertexsplit.splitting import vertex_split
 
 
 def test_minimalize_absorbs_multiples():
@@ -131,13 +133,22 @@ def mask_antichains(draw):
 @example((0, frozenset({0})))
 @example((3, frozenset()))
 @example((3, frozenset({0})))
+@example((7, frozenset({0b11, 0b110, 0b1100, 0b11000, 0b110000, 0b1100000})))
 def test_support_masks_read_back_what_squarefree_ideal_writes(drawn):
+    # I keeps its masks and writes its tuples only when asked; J is the
+    # same ideal built from its tuples
     n, masks = drawn
     I = squarefree_ideal(masks, n)
-    assert I == minimalize((mono_from_mask(m, n) for m in masks), n)
-    assert I.is_zero == (not masks) and I.is_unit == (masks == {0})
-    assert is_squarefree(I)
-    assert sorted(support_masks(I)) == sorted(masks)
+    J = minimalize((mono_from_mask(m, n) for m in masks), n)
+    assert I.masks == masks and J.masks is None
+    assert betti_table(I) == betti_table(J)
+    assert vertex_split(I) == vertex_split(J)
+    assert I.is_zero == J.is_zero == (not masks)
+    assert I.is_unit == J.is_unit == (masks == {0})
+    assert is_squarefree(I) and is_squarefree(J)
+    assert support_masks(I) == support_masks(J) == masks
+    assert I == J and J == I and hash(I) == hash(J)
+    assert repr(I) == repr(J) and I.gens == J.gens
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
