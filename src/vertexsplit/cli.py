@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import reduce
+from operator import and_
 from random import Random
 
 from . import verify
@@ -43,31 +45,56 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _check_oracle_size(G) -> None:
-    """Refuse a graph whose edge or cover ideal is too large for the
-    oracle.  Both ideals are generated on the vertices that lie on an
-    edge, and the Hochster loop visits the subsets of those."""
-    check_hochster_size(len({v for e in G.edges for v in e}))
+_PARSERS = {"ideal": parse_ideal, "complex": parse_complex,
+            "graph": parse_graph}
+
+
+def _load_input(paths: dict) -> tuple:
+    """The one input of a betti or classify command, parsed once:
+    (kind, object, names).  `paths` maps each input kind to its file or
+    None; any number of files but one is a ParseError, raised before a
+    file is read."""
+    given = [(kind, path) for kind, path in paths.items() if path]
+    if len(given) != 1:
+        raise ParseError("give exactly one input file: --ideal, --complex "
+                         "or --graph")
+    kind, path = given[0]
+    obj, names = _PARSERS[kind](_read(path))
+    return kind, obj, names
+
+
+def _check_oracle_size(kind: str, obj) -> None:
+    """Refuse a graph or complex whose ideals are too large for the oracle,
+    before any of them is built.  The Hochster loop visits the subsets of
+    the union of the supports: for a graph's edge and cover ideals, the
+    vertices that lie on an edge; for a complex's Stanley-Reisner ideal and
+    its dual facet ideal, the vertices missing from some facet.  A parsed
+    ideal is in hand, and the oracle checks its supports itself."""
+    if kind == "graph":
+        check_hochster_size(len({v for e in obj.edges for v in e}))
+    elif kind == "complex":
+        check_hochster_size(obj.ground_size
+                            - reduce(and_, obj.facets).bit_count())
 
 
 def _load_ideal_for_betti(args):
-    """Resolve the (ideal, names) pair a betti/classify command works on."""
-    if args.graph:
-        choice = args.ideal or "edge"
-        if choice not in ("edge", "cover"):
-            raise ParseError("with --graph, --ideal selects `edge` or `cover`")
-        G, names = parse_graph(_read(args.graph))
-        if args.mode == "oracle" or args.check:
-            # refuse before building the ideals, which can be slow
-            _check_oracle_size(G)
-        ideal = edge_ideal(G) if choice == "edge" else cover_ideal(G)
+    """Resolve the (ideal, names) pair a betti command works on."""
+    choice = args.ideal or "edge"
+    if args.graph and choice not in ("edge", "cover"):
+        raise ParseError("with --graph, --ideal selects `edge` or `cover`")
+    # with --graph, --ideal is the selector above and names no file
+    kind, obj, names = _load_input({
+        "ideal": None if args.graph else args.ideal,
+        "complex": args.complex, "graph": args.graph})
+    if args.mode == "oracle" or args.check:
+        # refuse before building the ideals, which can be slow
+        _check_oracle_size(kind, obj)
+    if kind == "graph":
+        ideal = edge_ideal(obj) if choice == "edge" else cover_ideal(obj)
         return ideal, names
-    if args.complex:
-        delta, names = parse_complex(_read(args.complex))
-        return stanley_reisner_ideal(delta), names
-    if args.ideal:
-        return parse_ideal(_read(args.ideal))
-    raise ParseError("one of --ideal/--complex/--graph is required")
+    if kind == "complex":
+        return stanley_reisner_ideal(obj), names
+    return obj, names
 
 
 def _render_table(table, fmt: str) -> str:
@@ -111,110 +138,108 @@ def cmd_betti(args) -> int:
     return 0
 
 
-def _classify_ideal(ideal, names, args, field) -> None:
-    print(f"variables: {' '.join(names)}")
-    print(f"generators: {len(ideal.gens)}")
-    print(f"square-free: {'yes' if is_squarefree(ideal) else 'no'}")
+def _classify_ideal(ideal, names, args, field) -> list[str]:
+    lines = [f"variables: {' '.join(names)}",
+             f"generators: {len(ideal.gens)}",
+             f"square-free: {'yes' if is_squarefree(ideal) else 'no'}"]
     tree = vertex_split(ideal)
     if tree is None:
-        print("vertex splittable: no")
-    else:
-        print(f"vertex splittable: yes; certificate "
-              f"{format_split_tree(tree, names)}")
-    if tree is not None:
-        order = quotient_order_from_split(tree, ideal.num_vars)
-    else:
+        lines.append("vertex splittable: no")
         order = find_linear_quotients(ideal, cap=args.max_gens)
-    if order is None:
-        print("linear quotients: no")
     else:
-        print(f"linear quotients: yes; order "
-              f"{format_quotient_order(order, names)}")
+        lines.append(f"vertex splittable: yes; certificate "
+                     f"{format_split_tree(tree, names)}")
+        order = quotient_order_from_split(tree, ideal.num_vars)
+    if order is None:
+        lines.append("linear quotients: no")
+    else:
+        lines.append(f"linear quotients: yes; order "
+                     f"{format_quotient_order(order, names)}")
+    return lines
 
 
-def _classify_complex(delta, names, args, field) -> None:
-    print(f"vertices: {' '.join(names)}")
-    print(f"facets: {len(delta.facets)}")
-    print(f"pure: {'yes' if is_pure(delta) else 'no'}")
+def _classify_complex(delta, names, args, field) -> list[str]:
+    lines = [f"vertices: {' '.join(names)}",
+             f"facets: {len(delta.facets)}",
+             f"pure: {'yes' if is_pure(delta) else 'no'}"]
     tree = vertex_decomposable(delta)
     if tree is None:
-        print("vertex decomposable: no")
+        lines.append("vertex decomposable: no")
     else:
-        print(f"vertex decomposable: yes; certificate "
-              f"{format_decomposition_tree(tree, names)}")
         pd_value, reg_value = pd_reg_recursive(delta)
-        print(f"pd of the quotient: {pd_value}")
-        print(f"reg of the quotient: {reg_value}")
-    print(f"Cohen-Macaulay over {field.label}: "
-          f"{'yes' if is_cohen_macaulay(delta, field) else 'no'}")
+        lines += [f"vertex decomposable: yes; certificate "
+                  f"{format_decomposition_tree(tree, names)}",
+                  f"pd of the quotient: {pd_value}",
+                  f"reg of the quotient: {reg_value}"]
+    lines.append(f"Cohen-Macaulay over {field.label}: "
+                 f"{'yes' if is_cohen_macaulay(delta, field) else 'no'}")
+    return lines
 
 
-def _classify_graph(G, names, args, field) -> None:
-    print(f"vertices: {' '.join(names)}")
-    print(f"edges: {len(G.edges)}")
+def _classify_graph(G, names, args, field) -> list[str]:
+    lines = [f"vertices: {' '.join(names)}", f"edges: {len(G.edges)}"]
     chordal, peo = is_chordal(G)
     if chordal:
-        print(f"chordal: yes; elimination order "
-              f"{' '.join(names[v] for v in peo)}")
+        lines.append(f"chordal: yes; elimination order "
+                     f"{' '.join(names[v] for v in peo)}")
     else:
-        print("chordal: no")
-    print(f"complement chordal: {'yes' if G.complement_chordal else 'no'}")
+        lines.append("chordal: no")
+    lines.append(f"complement chordal: "
+                 f"{'yes' if G.complement_chordal else 'no'}")
     shedding = domination_shedding(G)
-    print("dominating shedding vertices: "
-          + (" ".join(names[v] for v in shedding) if shedding else "(none)"))
+    lines.append("dominating shedding vertices: "
+                 + (" ".join(names[v] for v in shedding) if shedding
+                    else "(none)"))
     if is_bipartite(G):
         scm, cert = is_scm_bipartite(G)
         if scm:
-            print("sequentially Cohen-Macaulay (bipartite): yes; certificate "
-                  + format_scm_certificate(cert, G, names))
+            lines.append("sequentially Cohen-Macaulay (bipartite): yes; "
+                         "certificate "
+                         + format_scm_certificate(cert, G, names))
         else:
-            print("sequentially Cohen-Macaulay (bipartite): no")
+            lines.append("sequentially Cohen-Macaulay (bipartite): no")
     else:
-        print("sequentially Cohen-Macaulay (bipartite): not bipartite")
+        lines.append("sequentially Cohen-Macaulay (bipartite): not bipartite")
     if G.edges:
         edge_report = froberg_equivalence(G, field)
-        print(f"edge ideal: complement chordal={edge_report.complement_chordal} "
-              f"linear resolution={edge_report.edge_ideal_linear_resolution} "
-              f"vertex splittable={edge_report.edge_ideal_vertex_splittable} "
-              f"agree={edge_report.all_agree}")
         dual_report = dual_complex_equivalence(G, field)
-        print(f"dual complex: vertex decomposable="
-              f"{dual_report.dual_vertex_decomposable} "
-              f"Cohen-Macaulay={dual_report.dual_cohen_macaulay} "
-              f"agree={dual_report.all_agree}")
+        lines += [
+            f"edge ideal: complement chordal={edge_report.complement_chordal} "
+            f"linear resolution={edge_report.edge_ideal_linear_resolution} "
+            f"vertex splittable={edge_report.edge_ideal_vertex_splittable} "
+            f"agree={edge_report.all_agree}",
+            f"dual complex: vertex decomposable="
+            f"{dual_report.dual_vertex_decomposable} "
+            f"Cohen-Macaulay={dual_report.dual_cohen_macaulay} "
+            f"agree={dual_report.all_agree}"]
+    return lines
+
+
+_CLASSIFIERS = {"ideal": _classify_ideal, "complex": _classify_complex,
+                "graph": _classify_graph}
 
 
 def cmd_classify(args) -> int:
     field = parse_field(args.field)
-    given = [opt for opt in ("ideal", "complex", "graph")
-             if getattr(args, opt)]
-    if len(given) != 1:
-        raise ParseError("classify needs exactly one of --ideal/--complex/--graph")
-    kind = given[0]
+    kind, obj, names = _load_input({kind: getattr(args, kind)
+                                    for kind in _PARSERS})
     if kind == "ideal":
-        ideal, names = parse_ideal(_read(args.ideal))
-        if len(ideal.gens) > args.max_gens:
-            print(f"refusing: {len(ideal.gens)} generators exceed "
-                  f"--max-gens {args.max_gens}", file=sys.stderr)
-            return USAGE_ERROR
-        _classify_ideal(ideal, names, args, field)
-    elif kind == "complex":
-        delta, names = parse_complex(_read(args.complex))
-        if delta.ground_size > args.max_n:
-            print(f"refusing: {delta.ground_size} vertices exceed "
-                  f"--max-n {args.max_n}", file=sys.stderr)
-            return USAGE_ERROR
-        _classify_complex(delta, names, args, field)
+        size, what, option, limit = (len(obj.gens), "generators",
+                                     "--max-gens", args.max_gens)
     else:
-        G, names = parse_graph(_read(args.graph))
-        if G.n > args.max_n:
-            print(f"refusing: {G.n} vertices exceed --max-n {args.max_n}",
-                  file=sys.stderr)
-            return USAGE_ERROR
-        # the edge-ideal and dual-complex reports run the oracle; refuse
-        # before the first line is printed
-        _check_oracle_size(G)
-        _classify_graph(G, names, args, field)
+        size, what, option, limit = (len(names), "vertices", "--max-n",
+                                     args.max_n)
+    if size > limit:
+        print(f"refusing: {size} {what} exceed {option} {limit}",
+              file=sys.stderr)
+        return USAGE_ERROR
+    # a graph's reports and a pure complex's Cohen-Macaulay test run the
+    # oracle: refuse before any work
+    if kind == "graph" or (kind == "complex" and is_pure(obj)):
+        _check_oracle_size(kind, obj)
+    # one write, so a refusal or an exhausted resource while classifying
+    # leaves stdout empty
+    print("\n".join(_CLASSIFIERS[kind](obj, names, args, field)))
     return 0
 
 

@@ -200,10 +200,11 @@ def parse_graph(text: str) -> tuple[Graph, tuple[str, ...]]:
     """
     items, declared = _take_header(_split_lines(text), "graph")
     if declared is None:
-        if not items or not items[0].startswith("n "):
+        header = items[0].split() if items else []
+        if len(header) != 2 or not items[0].startswith("n "):
             raise ParseError("edge lists start with a header line `n <count>`")
-        n = _check_size(_bounded_int(items[0].split()[1], MAX_VERTICES,
-                                     "vertex count"), "vertices")
+        n = _check_size(_bounded_int(header[1], MAX_VERTICES, "vertex count"),
+                        "vertices")
         items = items[1:]
 
         def vertex(token: str) -> int:

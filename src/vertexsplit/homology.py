@@ -337,20 +337,21 @@ def betti_table(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     if I.is_zero:
         return make_table({}, "ideal")
     key = tuple(I.sorted_gens()) if I.masks is None else I.masks
-    return _table(I.num_vars, key, field.char)
+    return _table(I.num_vars, key, field)
 
 
 @lru_cache(maxsize=kernel.MEMO_SIZE)
-def _table(n: int, key: frozenset | tuple, p: int) -> BettiTable:
+def _table(n: int, key: frozenset | tuple, field: FieldChoice) -> BettiTable:
     """`betti_table` of the nonzero ideal with these support masks (a
-    frozenset) or sorted generators (a tuple)."""
+    frozenset) or sorted generators (a tuple).  The key holds the field
+    as given, so a miss validates no characteristic again."""
     if isinstance(key, frozenset):
         I = squarefree_ideal(key, n)
     else:
         I = MonomialIdeal(n, frozenset(key))
     if is_squarefree(I) and not I.is_unit:
-        return hochster_betti(I, FieldChoice(p))
-    return koszul_betti(I, FieldChoice(p))
+        return hochster_betti(I, field)
+    return koszul_betti(I, field)
 
 
 def has_linear_resolution(I: MonomialIdeal, field: FieldChoice = QQ) -> bool:

@@ -337,10 +337,14 @@ def verify_betti_splitting(I: MonomialIdeal, J: MonomialIdeal,
         raise ValueError("ideals live in different rings")
     if J.gens & K.gens or (J.gens | K.gens) != I.gens:
         raise ValueError("generators of J and K must partition those of I")
-    t_i = betti_table(I, field)
-    t_j = betti_table(J, field)
-    t_k = betti_table(K, field)
-    t_jk = betti_table(intersect(J, K), field)
+    return betti_splitting_identity(*(betti_table(x, field)
+                                      for x in (I, J, K, intersect(J, K))))
+
+
+def betti_splitting_identity(t_i: BettiTable, t_j: BettiTable,
+                             t_k: BettiTable, t_jk: BettiTable) -> bool:
+    """beta(I) = beta(J) + beta(K) + shifted beta(J cap K), read off the
+    four tables of I, J, K and J cap K."""
     keys = set(t_i.entries) | set(t_j.entries) | set(t_k.entries)
     keys |= {(i + 1, j) for (i, j) in t_jk.entries}
     return all(

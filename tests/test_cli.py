@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 from test_kernel import RP2_MASKS
-from vertexsplit import cli
+from vertexsplit import cli, complexes, homology, monomials
 from vertexsplit.cli import main
 from vertexsplit.complexes import MAX_VERTICES
 from vertexsplit.corpus import random_graph
@@ -181,6 +181,73 @@ def test_betti_refuses_a_large_graph_before_building_its_ideal(
     assert main(["betti", "--graph", str(p), "--ideal", "cover"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _refused(argv, capsys):
+    """main(argv) exits 2 with one `error:` line and nothing on stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "--complex", "xz_y.cx", "--ideal", "p3.ideal"],
+    ["betti", "--graph", "p4.g", "--complex", "xz_y.cx"],
+    ["betti", "--graph", "p4.g", "--complex", "xz_y.cx", "--ideal", "cover"],
+    ["classify", "--complex", "xz_y.cx", "--ideal", "p3.ideal"],
+    ["classify", "--ideal", "p3.ideal", "--complex", "xz_y.cx", "--graph",
+     "p4.g"],
+    ["classify"]])
+def test_exactly_one_input_file_is_read(files, capsys, argv):
+    # betti once took the graph, then the complex, then the ideal, and
+    # ignored the rest; with --graph, betti's --ideal names no file
+    err = _refused([files.get(arg, arg) for arg in argv], capsys)
+    assert "exactly one input file" in err
+
+
+def test_a_graph_header_is_exactly_n_and_a_count(tmp_path, capsys):
+    p = tmp_path / "bad.g"
+    p.write_text("n 4 5\n0 1\n")
+    assert _refused(["betti", "--graph", str(p)], capsys) == (
+        "error: edge lists start with a header line `n <count>`\n")
+
+
+def _edge_complements(n: int, tmp_path) -> str:
+    """A file for the complex on n vertices whose facets are the
+    complements of the cycle's edges {i, i+1 mod n}: every vertex misses
+    a facet, so its ideals have all n vertices in their supports."""
+    names = [f"v{i}" for i in range(n)]
+    p = tmp_path / f"c{n}.cx"
+    p.write_text(f"kind: complex\nvertices: {' '.join(names)}\n" + "".join(
+        ",".join(names[v] for v in range(n) if v not in (i, (i + 1) % n))
+        + "\n" for i in range(n)))
+    return str(p)
+
+
+def test_classify_refuses_a_complex_too_large_for_the_oracle_up_front(
+        tmp_path, capsys):
+    # the Cohen-Macaulay line runs the oracle on 26 vertices; the first
+    # four lines were once printed before the refusal
+    path = _edge_complements(26, tmp_path)
+    err = _refused(["classify", "--complex", path, "--max-n", "30"], capsys)
+    assert "2^26" in err
+
+
+def test_betti_refuses_a_large_complex_before_building_its_ideal(
+        tmp_path, monkeypatch, capsys):
+    # Berge's method ran for minutes on this complex's minimal non-faces
+    # before the oracle's limit refused them
+    def unreachable(edges):
+        raise AssertionError("minimal transversals taken before the refusal")
+
+    for module in (complexes, homology, monomials):
+        monkeypatch.setattr(module, "minimal_transversals", unreachable)
+    path = _edge_complements(40, tmp_path)
+    for flags in ([], ["--check"], ["--mode", "sets", "--check"]):
+        err = _refused(["betti", "--complex", path, *flags], capsys)
+        assert "2^40" in err
 
 
 def test_classify_ideal(files, tmp_path, capsys):

@@ -1,5 +1,6 @@
 from functools import reduce
 from itertools import combinations
+from math import isqrt
 from operator import or_
 from random import Random
 
@@ -549,3 +550,23 @@ def test_betti_table_validation():
     with pytest.raises(ValueError):
         BettiTable({}, subject="module")
     assert make_table({(0, 1): 0}).is_empty
+
+
+def test_a_table_miss_does_not_validate_the_field_again(monkeypatch):
+    # the primality test of 2^31 - 1 runs up to isqrt(p) = 46,340 trial
+    # divisions; the memo is keyed by the field, so no miss rebuilds it
+    field = FieldChoice.prime(2**31 - 1)
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return isqrt(n)
+
+    monkeypatch.setattr(homology, "isqrt", spy)
+    clear_caches()
+    ideals = [sq("xy", "yz"), sq("xy", "zw"), mi(3, (2, 0, 0), (0, 1, 1)),
+              edge_ideal(cycle_graph(5)), cover_ideal(cycle_graph(5))]
+    tables = [betti_table(I, field) for I in ideals]
+    assert cache_info()["tables"].misses >= len(ideals)
+    assert calls == []
+    assert all(not t.is_empty for t in tables)

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from conftest import mi, sq, tor_betti
-from vertexsplit import clear_caches
+from vertexsplit import clear_caches, splitting, verify
 from vertexsplit.corpus import all_squarefree_ideals, random_splittable_ideal
 from vertexsplit.homology import betti_table, koszul_betti
 from vertexsplit.monomials import (MAX_EXPONENT, MonomialIdeal, divides,
@@ -291,6 +291,30 @@ def test_three_route_agreement_and_node_identities():
             assert verify_betti_splitting(node_ideal, part_j, part_k)
             xvar = variable(ideal.num_vars, node.var)
             assert intersect(part_j, part_k) == multiply(part_k, xvar)
+
+
+def test_the_splitting_suite_fetches_four_tables_and_one_meet_per_node(
+        monkeypatch):
+    # the tables of I, J, K and J cap K feed both the splitting identity
+    # and the reg/pd consequences, and J cap K is computed once
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
+
+    for module in (verify, splitting):
+        counted(module, "betti_table")
+        counted(module, "intersect")
+    result = verify.suite_betti_splitting(max_n=5, seed=3, count=60)
+    assert result.passed
+    nodes = int(result.notes[0].split()[0])
+    assert nodes > 60
+    assert calls == {"betti_table": 4 * nodes, "intersect": nodes}
 
 
 def test_recursive_matches_independent_tor_oracle():
