@@ -1,6 +1,5 @@
 """The kernel: exact matrix ranks, reduced simplicial homology and the
-fine-graded Betti table of a monomial ideal from its upper Koszul
-complexes.
+graded strands of a monomial ideal from its upper Koszul complexes.
 
 `vertexsplit.kernel` re-exports the entry points defined here.  Boundary
 ranks come from one sparse elimination on unit pivots, exact over QQ and
@@ -303,22 +302,24 @@ def _dims_of_key(facets: tuple[int, ...], p: int) -> tuple[int, ...]:
     return dims + (0,) * (top + 1 - len(dims))
 
 
-def koszul_table(exponents, p: int) -> dict[tuple[int, int], int]:
-    """Graded Betti numbers of the ideal with the given minimal generators.
+def koszul_table(exponents, p: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """The graded strands (j, dims, 1) of the ideal with the given minimal
+    generators, one per multidegree b of the lcm lattice whose upper Koszul
+    complex is not a cone: j is the degree of b, and dims[i], the reduced
+    homology of that complex in degree i - 1, is beta_{i,b}.
 
-    For each multidegree b in the lcm lattice of the generators, the degree
-    b strand is the reduced homology of the complex whose faces are the
-    square-free t with x^b / x^t in the ideal; that complex is the union of
-    the simplexes on {i : b_i > g_i} over the generators g dividing x^b.
-    The lattice is built by joining each generator into the joins found so
-    far, and each strand's facets come from one antichain pass.
+    The upper Koszul complex at b has as faces the square-free t with
+    x^b / x^t in the ideal; it is the union of the simplexes on
+    {i : b_i > g_i} over the generators g dividing x^b.  The lattice is
+    built by joining each generator into the joins found so far, and each
+    strand's facets come from one antichain pass.
     """
     gens = [tuple(map(int, g)) for g in exponents]
     lattice: set[tuple[int, ...]] = set()
     for g in gens:
         lattice |= {tuple(map(max, b, g)) for b in lattice}
         lattice.add(g)
-    table: dict[tuple[int, int], int] = {}
+    strands = []
     for b in lattice:
         masks = []
         for g in gens:
@@ -338,9 +339,5 @@ def koszul_table(exponents, p: int) -> dict[tuple[int, int], int]:
             common &= mk
         if common:
             continue  # the complex is a cone, hence acyclic
-        dims = homology_dims(facets, p)
-        j = sum(b)
-        for t, d in enumerate(dims):
-            if d:
-                table[t, j] = table.get((t, j), 0) + d
-    return table
+        strands.append((sum(b), homology_dims(facets, p), 1))
+    return strands

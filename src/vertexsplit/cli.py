@@ -258,9 +258,10 @@ def cmd_verify(args) -> int:
     return VIOLATION if failed else 0
 
 
-# `gen complex` draws up to --facets masks into one list before reducing
-# them to an antichain; at this limit, on 63 vertices, that holds tens of MB
-MAX_FACETS = 2**16
+# `gen complex` reduces up to --facets drawn masks to an antichain by
+# comparing each with every maximal mask kept, quadratic in the count: on
+# 63 vertices this limit takes about 0.4 s, and each doubling four times that
+MAX_FACETS = 2**12
 
 
 def cmd_gen(args) -> int:

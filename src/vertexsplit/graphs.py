@@ -74,10 +74,6 @@ def cycle_graph(n: int) -> Graph:
     return graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def complete_graph(n: int) -> Graph:
-    return graph(n, combinations(range(n), 2))
-
-
 def complement(G: Graph) -> Graph:
     missing = [e for e in combinations(range(G.n), 2) if e not in G.edges]
     return Graph(G.n, frozenset(missing))
@@ -249,6 +245,11 @@ def cover_betti_recursive(G: Graph, v: int,
     delta = independence_complex(G)
     if not delta.is_vertex(v) or not is_shedding(delta, v):
         raise ValueError(f"{v} is not a shedding vertex of the independence complex")
+    return _cover_recursion(G, v, field)
+
+
+def _cover_recursion(G: Graph, v: int, field: FieldChoice) -> BettiTable:
+    """`cover_betti_recursive` at a v already known to shed."""
     t = G.near[v].bit_count()
     del_table = _cover_table(delete_vertices(G, 1 << v), field)
     link_table = _cover_table(delete_vertices(G, G.near[v] | 1 << v), field)
@@ -264,7 +265,7 @@ def _cover_table(G: Graph, field: FieldChoice) -> BettiTable:
         return make_table({(0, 0): 1}, "ideal")
     preferred = domination_shedding(G) or shedding_vertices(G)
     if preferred:
-        return cover_betti_recursive(G, preferred[0], field)
+        return _cover_recursion(G, preferred[0], field)
     return betti_table(cover_ideal(G), field)
 
 

@@ -22,10 +22,14 @@ Cover ideals read the same table through Hochster's formula in its
 Alexander-dual form (Eagon-Reiner; Miller-Sturmfels, ch. 1): the dual of
 the Stanley-Reisner complex of J(G) is Ind(G), and the link of an
 independent set U in Ind(G) is Ind(G[V - N[U]]), so beta_{i,j}(J(G)) sums
-the homology of one table entry per independent U (`_cover_entries`).
+the homology of one table entry per independent U (`_cover_strands`).
 A square-free ideal is a cover ideal exactly when its minimal primes, the
 minimal transversals of its supports, all have two vertices; they are
 then the edges of G.
+
+Every route yields graded strands (j, dims, count): count equal pieces of
+internal degree j, each adding dims[i] to beta_{i,j}.  One summation
+(`_sum_strands`) turns the strands of any route into its table.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from math import isqrt
 from . import kernel
 from .betti import BettiTable, make_table
 from .complexes import SimplicialComplex, dual_facet_ideal, restrict_masks
-from .monomials import (MonomialIdeal, compress, degree, is_squarefree,
-                        minimal_transversals, squarefree_ideal, support_masks)
+from .monomials import (MonomialIdeal, compress, degree, minimal_transversals,
+                        squarefree_ideal, support_masks)
 
 
 # The largest characteristic accepted, a prime: it keeps the primality
@@ -134,7 +138,7 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     minimal transversals of the supports.  When each prime has two
     vertices, I is the cover ideal J(G) of the graph with those primes as
     edges, and the cover route reads beta_{i,j} off the independence
-    table of G by the dual form of the formula (`_cover_entries`), with no
+    table of G by the dual form of the formula (`_cover_strands`), with no
     lattice W.  Any other ideal restricts to each lattice W the facets of
     its Stanley-Reisner complex, the complements of the primes in the
     union.  The unit ideal, which has no Stanley-Reisner complex, and an
@@ -163,15 +167,24 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     else:
         primes = minimal_transversals(supports)
         if all(q.bit_count() == 2 for q in primes):
-            return make_table(_cover_entries(primes, field.char), "ideal")
+            return _sum_strands(_cover_strands(primes, field.char))
         # the facets of the Stanley-Reisner complex, within the union
         restrictions = _facet_restrictions([union ^ q for q in primes],
                                            supports, union, field.char)
+    # dims[t] of a W of size j, homology in degree t - 1, goes to
+    # beta_{j-t-1,j}: reversing the first j entries indexes it by i, and
+    # the empty W (j = 0) adds nothing
+    return _sum_strands((j, (dims + (0,) * j)[:j][::-1], c)
+                        for j, dims, c in restrictions)
+
+
+def _sum_strands(strands) -> BettiTable:
+    """The graded Betti table of strands (j, dims, count), each adding
+    count * dims[i] to beta_{i,j}; every oracle route ends here."""
     entries: dict[tuple[int, int], int] = {}
-    for j, dims, c in restrictions:
-        for t, d in enumerate(dims):
-            i = j - t - 1
-            if d and i >= 0:
+    for j, dims, c in strands:
+        for i, d in enumerate(dims):
+            if d:
                 entries[i, j] = entries.get((i, j), 0) + c * d
     return make_table(entries, "ideal")
 
@@ -191,18 +204,19 @@ def _facet_restrictions(facets, supports: list[int], union: int, p: int):
                    kernel.homology_dims(restrict_masks(facets, w), p), 1)
 
 
-def _cover_entries(edges: list[int], p: int) -> dict[tuple[int, int], int]:
-    """The Betti numbers of the cover ideal J(G) of the graph with these
-    edge masks, by Hochster's formula in its Alexander-dual form.
+def _cover_strands(edges: list[int], p: int):
+    """The strands of the cover ideal J(G) of the graph with these edge
+    masks, by Hochster's formula in its Alexander-dual form.
 
     On the vertex set V of G, the Stanley-Reisner complex of J(G) has
     Alexander dual Ind(G), and beta_{i,j}(J(G)) sums, over the independent
     U with |V - U| = j, the reduced homology of the link of U in Ind(G) in
     degree i - 1; a U that is not independent is no face and adds nothing.
     That link is Ind(G[V - N[U]]), whose dims `_independence_table` holds
-    at index t = i.  The independent U are walked depth-first, each
-    reached once by adding its vertices in increasing order.  The edges
-    lie on vertices 0..k-1, each on some edge.
+    at index t = i, so each (j, dims) pair counted is a strand as it
+    stands.  The independent U are walked depth-first, each reached once
+    by adding its vertices in increasing order.  The edges lie on vertices
+    0..k-1, each on some edge.
     """
     near = _neighbours(edges)
     table, shapes = _independence_table(edges, near, p)
@@ -218,12 +232,7 @@ def _cover_entries(edges: list[int], p: int) -> dict[tuple[int, int], int]:
             v = rest & -rest
             rest ^= v
             stack.append((size + 1, closed | v | near[v], rest & ~near[v]))
-    entries: dict[tuple[int, int], int] = {}
-    for (j, s), c in counts.items():
-        for i, d in enumerate(shapes[s]):
-            if d:
-                entries[i, j] = entries.get((i, j), 0) + c * d
-    return entries
+    return [(j, shapes[s], c) for (j, s), c in counts.items()]
 
 
 def _neighbours(edges: list[int]) -> dict[int, int]:
@@ -311,8 +320,7 @@ def koszul_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     """Betti table of a nonzero monomial ideal via its upper Koszul complexes."""
     if I.is_zero:
         raise ValueError("the zero ideal has an empty resolution; no table")
-    entries = kernel.koszul_table(I.sorted_gens(), field.char)
-    return make_table(entries, "ideal")
+    return _sum_strands(kernel.koszul_table(I.sorted_gens(), field.char))
 
 
 def clear_caches() -> None:
@@ -328,38 +336,37 @@ def betti_table(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     subset-restriction formula, all others through the upper Koszul route;
     the two agree on the overlap and tests enforce that.  The zero ideal
     has the empty table.  Tables are memoized under the labelled
-    generators, so a relabeling of an ideal already seen is a miss.  An
-    ideal that `squarefree_ideal` built is keyed by its frozenset of
-    support masks, any other by its sorted exponent tuples, so no lookup
-    scans for squares or writes tuples; the same ideal built both ways is
-    two entries.
+    generators, so a relabeling of an ideal already seen is a miss.  A
+    square-free ideal is keyed by its frozenset of support masks
+    (`I.masks`), an ideal with a square by its sorted exponent tuples, so
+    the same ideal is one entry however it was built.
     """
     if I.is_zero:
         return make_table({}, "ideal")
-    key = tuple(I.sorted_gens()) if I.masks is None else I.masks
+    masks = I.masks
+    key = tuple(I.sorted_gens()) if masks is None else masks
     return _table(I.num_vars, key, field)
 
 
 @lru_cache(maxsize=kernel.MEMO_SIZE)
 def _table(n: int, key: frozenset | tuple, field: FieldChoice) -> BettiTable:
-    """`betti_table` of the nonzero ideal with these support masks (a
-    frozenset) or sorted generators (a tuple).  The key holds the field
-    as given, so a miss validates no characteristic again."""
-    if isinstance(key, frozenset):
-        I = squarefree_ideal(key, n)
-    else:
-        I = MonomialIdeal(n, frozenset(key))
-    if is_squarefree(I) and not I.is_unit:
-        return hochster_betti(I, field)
-    return koszul_betti(I, field)
+    """`betti_table` of the nonzero square-free ideal with these support
+    masks (a frozenset), or of the ideal with a square with these sorted
+    generators (a tuple).  The key holds the field as given, so a miss
+    validates no characteristic again."""
+    if isinstance(key, tuple):
+        return koszul_betti(MonomialIdeal(n, frozenset(key)), field)
+    I = squarefree_ideal(key, n)
+    return koszul_betti(I, field) if I.is_unit else hochster_betti(I, field)
 
 
 def has_linear_resolution(I: MonomialIdeal, field: FieldChoice = QQ) -> bool:
     """True iff I is generated in one degree d and beta_{i,j} = 0 off j = i+d."""
     if I.is_zero:
         raise ValueError("linear resolution is undefined for the zero ideal")
-    degrees = ({degree(g) for g in I.gens} if I.masks is None
-               else set(map(int.bit_count, I.masks)))
+    masks = I.masks
+    degrees = ({degree(g) for g in I.gens} if masks is None
+               else set(map(int.bit_count, masks)))
     if len(degrees) > 1:
         return False
     d = degrees.pop()

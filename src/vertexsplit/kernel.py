@@ -1,5 +1,5 @@
-"""The computational kernel: exact ranks, reduced homology and Koszul
-Betti tables.
+"""The computational kernel: exact ranks, reduced homology and the
+strands of Koszul Betti tables.
 
 The implementation lives in `_kernel_py`; this module re-exports its
 entry points, so `kernel.homology_dims is _kernel_py.homology_dims`.

@@ -12,8 +12,10 @@ generator is its support mask (bit i set when x_i divides it).  This module
 owns that format: `squarefree_ideal` builds the ideal of an antichain of
 masks, `support_masks` reads the masks of a square-free ideal, and no other
 module converts between the two (`splitting` searches stacked masks of
-exponent ranks, a format of its own).  An ideal that `squarefree_ideal`
-built keeps its masks (`MonomialIdeal.masks`) and writes its exponent
+exponent ranks, a format of its own).  Every square-free ideal holds its
+support masks as `MonomialIdeal.masks`, derived once from the generators
+on first read; an ideal with a square holds None there.  An ideal that
+`squarefree_ideal` built starts from its masks and writes its exponent
 tuples only when `gens` is first read, so the ideals of graphs and
 complexes reach the oracle and the split search as masks.  Equality, hash
 and repr are those of the generators, however the ideal was built.  The
@@ -146,9 +148,15 @@ class MonomialIdeal:
 
     num_vars: int
     gens: frozenset[Monomial]
-    # the support masks of an ideal that `squarefree_ideal` built, None on
-    # any other
-    masks = None
+
+    @cached_property
+    def masks(self) -> frozenset[int] | None:
+        """The support masks of the generators, or None when an exponent
+        exceeds one; derived once."""
+        n, gens = self.num_vars, self.gens
+        if n and gens and max(map(max, gens)) > 1:
+            return None
+        return frozenset(sum(map(lshift, g, range(n))) for g in gens)
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
@@ -180,7 +188,8 @@ class MonomialIdeal:
 class _MaskIdeal(MonomialIdeal):
     """A square-free ideal built from the antichain of its support masks:
     it keeps them and writes its exponent tuples once, when `gens` is first
-    read.  Ideals built from tuples keep `gens` a plain attribute."""
+    read.  Ideals built from tuples keep `gens` a plain attribute and
+    derive `masks` from it."""
 
     def __init__(self, num_vars: int, masks: frozenset[int]):
         object.__setattr__(self, "num_vars", num_vars)
@@ -214,10 +223,6 @@ def minimalize(gens: Iterable[Monomial], n: int) -> MonomialIdeal:
         if not any(divides(h, g) for h in minimal):
             minimal.append(g)
     return MonomialIdeal(n, frozenset(minimal))
-
-
-def zero_ideal(n: int) -> MonomialIdeal:
-    return MonomialIdeal(n, frozenset())
 
 
 def unit_ideal(n: int) -> MonomialIdeal:
@@ -268,18 +273,16 @@ def x_partition(I: MonomialIdeal, x: int) -> tuple[MonomialIdeal, MonomialIdeal]
 
 def is_squarefree(I: MonomialIdeal) -> bool:
     """True iff no exponent of a generator exceeds one."""
-    return (I.masks is not None or not (I.num_vars and I.gens)
-            or max(map(max, I.gens)) <= 1)
+    return I.masks is not None
 
 
 def support_masks(I: MonomialIdeal) -> frozenset[int]:
     """The support masks of the generators of a square-free ideal; a
     generator with a square raises ValueError."""
-    if I.masks is not None:
-        return I.masks
-    if not is_squarefree(I):
+    masks = I.masks
+    if masks is None:
         raise ValueError("the ideal has a square, so it is not square-free")
-    return frozenset(sum(map(lshift, g, range(I.num_vars))) for g in I.gens)
+    return masks
 
 
 def squarefree_ideal(masks: Iterable[int], n: int) -> MonomialIdeal:

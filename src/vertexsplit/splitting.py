@@ -17,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import add, lshift
+from operator import add
 from typing import Optional, Union
 
 from .betti import BettiTable, add_shifted, make_table
 from .homology import FieldChoice, QQ, betti_table
 from .kernel import MEMO_SIZE
 from .monomials import (Monomial, MonomialIdeal, colon, degree, divides,
-                        intersect, is_squarefree, minimalize, mono_from_mask,
-                        mono_gcd, mono_div, variable_ideal)
+                        intersect, minimalize, mono_from_mask, mono_gcd,
+                        mono_div, variable_ideal)
 
 
 @dataclass(frozen=True)
@@ -62,21 +62,18 @@ def vertex_split(I: MonomialIdeal) -> Optional[SplitTree]:
     memo `cache_info()["split"]` reports, searches the stacked masks of the
     ranks; only a tree whose ranks differ from its exponents has its leaves
     mapped back.  A square-free ideal's stacked masks are its support
-    masks, which an ideal that `squarefree_ideal` built hands over as they
-    are.
+    masks (`I.masks`), so only an ideal with a square is encoded here.
     """
-    if I.masks is not None:
-        return _split(I.num_vars, I.masks)
-    n, gens = I.num_vars, I.gens
-    values = None
-    if not is_squarefree(I):
-        values = [sorted({0, 1, *column}) for column in zip(*gens)]
-        # rank r of variable i becomes r bits, n apart, shifted by i below
-        codes = [{e: sum(1 << k * n for k in range(r))
-                  for r, e in enumerate(v)} for v in values]
-        gens = [tuple(map(dict.__getitem__, codes, g)) for g in gens]
-    tree = _split(n, frozenset(sum(map(lshift, g, range(n))) for g in gens))
-    if tree is None or values is None or all(v[-1] < len(v) for v in values):
+    n, masks = I.num_vars, I.masks
+    if masks is not None:
+        return _split(n, masks)
+    values = [sorted({0, 1, *column}) for column in zip(*I.gens)]
+    # rank r of variable i becomes the bits i, i + n, ..., i + (r - 1)n
+    codes = [{e: sum(1 << k * n + i for k in range(r))
+              for r, e in enumerate(v)} for i, v in enumerate(values)]
+    tree = _split(n, frozenset(sum(map(dict.__getitem__, codes, g))
+                               for g in I.gens))
+    if tree is None or all(v[-1] < len(v) for v in values):
         return tree
     return _unrank(tree, values)
 

@@ -351,6 +351,19 @@ def test_classify_graph_outputs_are_pinned(tmp_path, capsys):
     assert sha256("".join(outs).encode()).hexdigest() == CLASSIFY_GRAPH_DIGEST
 
 
+# sha256 of `verify all --max-n 4 --count 200 --seed 3` stdout: every
+# suite at a size that runs in about a second
+VERIFY_SMALL_DIGEST = (
+    "9e8afa04dd16488ee37c0995b622b6df1b571cf37dcfb231e18324acf918ea54")
+
+
+def test_verify_all_outputs_are_pinned(capsys):
+    assert main(["verify", "all", "--max-n", "4", "--count", "200",
+                 "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert sha256(out.encode()).hexdigest() == VERIFY_SMALL_DIGEST
+
+
 def test_classify_refuses_oversize(files, capsys):
     assert main(["classify", "--graph", files["p4.g"], "--max-n", "2"]) == 2
     assert "refusing" in capsys.readouterr().err
@@ -600,11 +613,11 @@ def test_gen_refuses_sizes_that_no_parser_reads_back(tmp_path, capsys):
 
 def test_gen_refuses_more_facets_than_it_bounds(tmp_path, capsys):
     out = tmp_path / "complex.txt"
-    assert main(["gen", "complex", "--n", "63", "--facets", "65537",
+    assert main(["gen", "complex", "--n", "63", "--facets", "4097",
                  "-o", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: 65537 facets exceed the limit of 65536\n"
+    assert captured.err == "error: 4097 facets exceed the limit of 4096\n"
     assert not out.exists()
 
 

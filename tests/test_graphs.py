@@ -13,7 +13,7 @@ from vertexsplit.cli import main
 from vertexsplit.decomposition import is_shedding, vertex_decomposable
 from vertexsplit.formats import format_graph
 from vertexsplit.graphs import (Graph, ScmLeaf, ScmNode, chordal_split,
-                                clique_complex, complement, complete_graph,
+                                clique_complex, complement,
                                 cover_betti_recursive,
                                 cover_ideal, cycle_graph, delete_vertices,
                                 domination_shedding, dual_complex_equivalence,
@@ -32,6 +32,8 @@ P3 = path_graph(3)
 P4 = path_graph(4)
 C4 = cycle_graph(4)
 TWO_K2 = graph(4, [(0, 1), (2, 3)])
+K3 = graph(3, combinations(range(3), 2))
+K4 = graph(4, combinations(range(4), 2))
 
 
 def test_graph_validation():
@@ -71,7 +73,7 @@ def test_cover_ideal_is_dual_edge_ideal_exhaustively():
 def test_complement_and_complexes():
     assert complement(P3).edges == {(0, 2)}
     assert independence_complex(P3) == from_facets([{0, 2}, {1}], 3)
-    assert clique_complex(complete_graph(3)).facets == {0b111}
+    assert clique_complex(K3).facets == {0b111}
     # independence complex facets are the maximal independent sets
     for G in (P4, C4, TWO_K2):
         delta = independence_complex(G)
@@ -85,7 +87,7 @@ def test_is_chordal_examples():
     ok, order = is_chordal(P4)
     assert ok and order is not None
     assert is_chordal(C4) == (False, None)
-    assert is_chordal(complete_graph(4))[0]
+    assert is_chordal(K4)[0]
     assert is_chordal(graph(1, []))[0]
 
 
@@ -143,7 +145,7 @@ def test_chordal_iff_no_induced_long_cycle():
 def test_simplicial_vertex_examples():
     assert simplicial_vertex(P4) == 0
     assert simplicial_vertex(C4) is None
-    assert simplicial_vertex(complete_graph(3)) == 0
+    assert simplicial_vertex(K3) == 0
     assert simplicial_vertex(graph(2, [])) == 0
 
 
@@ -203,7 +205,7 @@ def test_mask_routines_match_set_definitions_exhaustively():
 def test_is_bipartite():
     assert is_bipartite(P4)
     assert is_bipartite(C4)
-    assert not is_bipartite(complete_graph(3))
+    assert not is_bipartite(K3)
     assert is_bipartite(graph(3, []))
 
 
@@ -214,7 +216,7 @@ def test_scm_bipartite_examples():
     assert is_scm_bipartite(C4) == (False, None)
     assert is_scm_bipartite(graph(3, [])) == (True, ScmLeaf())
     with pytest.raises(ValueError):
-        is_scm_bipartite(complete_graph(3))
+        is_scm_bipartite(K3)
 
 
 def test_scm_certificate_replays():
@@ -246,6 +248,23 @@ def test_cover_betti_recursive_requires_shedding():
         cover_betti_recursive(C4, 0)
 
 
+def test_the_cover_recursion_builds_the_independence_complex_once(
+        monkeypatch):
+    # the public entry checks that v sheds; the recursion below it takes
+    # vertices that shed by choice and checks none of them again
+    built = []
+    build = graphs.independence_complex
+
+    def spy(G):
+        built.append(G)
+        return build(G)
+    monkeypatch.setattr(graphs, "independence_complex", spy)
+    clear_caches()
+    P12 = path_graph(12)
+    assert cover_betti_recursive(P12, 1) == betti_table(cover_ideal(P12))
+    assert built == [P12]
+
+
 def test_cover_betti_recursion_matches_oracle_when_shedding_exists():
     rng = Random(9)
     checked = 0
@@ -271,7 +290,7 @@ def test_chordal_split_examples():
     assert tree.var == 0
     # complement of the 3-path has the single edge xz
     assert chordal_split(P3).monomial == (1, 0, 1)
-    assert chordal_split(complete_graph(4)).monomial is None
+    assert chordal_split(K4).monomial is None
     with pytest.raises(ValueError):
         chordal_split(C4)
 
@@ -301,7 +320,7 @@ def test_froberg_equivalence_examples():
     assert (r.complement_chordal, r.edge_ideal_linear_resolution,
             r.edge_ideal_vertex_splittable) == (False, False, False)
     assert r.all_agree
-    r = froberg_equivalence(complete_graph(3))
+    r = froberg_equivalence(K3)
     assert r.all_agree and r.complement_chordal
     with pytest.raises(ValueError):
         froberg_equivalence(graph(3, []))

@@ -23,8 +23,7 @@ from vertexsplit.homology import (FieldChoice, QQ, betti_table,
                                   parse_field, reduced_homology_dims)
 from vertexsplit.monomials import (MonomialIdeal, compress, minimal_transversals,
                                    minimalize, mono_from_mask, squarefree_ideal,
-                                   support_masks, unit_ideal, variable_ideal,
-                                   zero_ideal)
+                                   support_masks, unit_ideal, variable_ideal)
 
 GF2 = FieldChoice.prime(2)
 GF5 = FieldChoice.prime(5)
@@ -65,7 +64,7 @@ def test_hochster_examples():
     assert hochster_betti(sq("xy", "yz")).entries == {(0, 2): 2, (1, 3): 1}
     assert hochster_betti(sq("x", "y")).entries == {(0, 1): 2, (1, 2): 1}
     with pytest.raises(ValueError):
-        hochster_betti(zero_ideal(3))
+        hochster_betti(mi(3))
     with pytest.raises(ValueError, match="unit ideal"):
         hochster_betti(unit_ideal(3))
     with pytest.raises(ValueError, match="2\\^31 vertex subsets"):
@@ -91,7 +90,7 @@ def test_koszul_examples():
     assert koszul_betti(I) == hochster_betti(I)
     assert koszul_betti(unit_ideal(3)).entries == {(0, 0): 1}
     with pytest.raises(ValueError):
-        koszul_betti(zero_ideal(2))
+        koszul_betti(mi(2))
 
 
 def test_oracles_agree_with_independent_tor_oracle():
@@ -317,6 +316,17 @@ def test_cycle_tables_need_no_kernel_call_and_hit_the_table_memo(
     assert after.hits == before.hits + 1
 
 
+def test_an_ideal_built_from_tuples_or_masks_is_one_table_entry():
+    # both copies key the memo by their support masks
+    masks = [0b0011, 0b0110, 0b1100, 0b1001]
+    built = squarefree_ideal(masks, 4)
+    written = minimalize((mono_from_mask(m, 4) for m in masks), 4)
+    clear_caches()
+    assert betti_table(written) == betti_table(built)
+    info = cache_info()["tables"]
+    assert (info.hits, info.misses) == (1, 1)
+
+
 # 5-regular on eight vertices; Ind(G) has H_0 = 1 and H_1 = 2, and at
 # W = V every vertex's link and deletion share a nonzero degree
 REGULAR8 = graph(8, [(int(e[0]), int(e[1])) for e in (
@@ -391,7 +401,7 @@ def routes(monkeypatch):
     """The names of the Hochster routes, other than the edge route, that
     a test takes."""
     taken = []
-    for name in ("_cover_entries", "_facet_restrictions"):
+    for name in ("_cover_strands", "_facet_restrictions"):
         def spy(*args, name=name, route=getattr(homology, name)):
             taken.append(name)
             return route(*args)
@@ -436,7 +446,7 @@ def test_only_cover_ideals_take_the_cover_route(routes):
     # two edges
     assert hochster_betti(sq("z", "xy")).entries == \
         {(0, 1): 1, (0, 2): 1, (1, 3): 1}
-    assert routes == ["_cover_entries"]
+    assert routes == ["_cover_strands"]
     # (xyz) has the primes x, y and z; the next ideal has the prime xyz
     # and the next the prime z; the last, x1x3x5 and x3x6 in 7 variables,
     # has the prime x3 and a support that skips variables
@@ -509,7 +519,7 @@ def test_has_linear_resolution_examples():
     assert not has_linear_resolution(sq("ab", "cd"))
     assert not has_linear_resolution(mi(3, (0, 1, 0), (1, 0, 1)))
     with pytest.raises(ValueError):
-        has_linear_resolution(zero_ideal(2))
+        has_linear_resolution(mi(2))
 
 
 def test_is_cohen_macaulay_examples():
@@ -530,7 +540,7 @@ def sq_graph_2k2():
 
 
 def test_betti_table_dispatch_and_zero():
-    assert betti_table(zero_ideal(3)).is_empty
+    assert betti_table(mi(3)).is_empty
     assert betti_table(unit_ideal(3)).entries == {(0, 0): 1}
     I = sq("xy", "yz")
     assert betti_table(I) == koszul_betti(I)

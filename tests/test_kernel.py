@@ -361,7 +361,8 @@ def non_squarefree_ideals(draw):
 @given(non_squarefree_ideals(), st.sampled_from([0, 2]))
 def test_koszul_table_matches_the_spelled_out_reference(I, p):
     gens = I.sorted_gens()
-    assert kernel.koszul_table(gens, p) == reference_koszul_table(gens, p)
+    summed = homology._sum_strands(kernel.koszul_table(gens, p))
+    assert summed.entries == reference_koszul_table(gens, p)
 
 
 def test_bench_kernel_runs_from_a_checkout(tmp_path):

@@ -11,7 +11,7 @@ from vertexsplit.monomials import (MonomialIdeal, _max_antichain,
                                    minimal_transversals, minimalize,
                                    mono_from_mask, multiply, squarefree_ideal,
                                    support_masks, unit_ideal, variable,
-                                   x_partition, zero_ideal)
+                                   x_partition)
 from vertexsplit.splitting import vertex_split
 
 
@@ -89,8 +89,8 @@ def test_is_subideal_examples():
     # (bd) inside (c, d)
     assert is_subideal(mi(4, (0, 1, 0, 1)), mi(4, (0, 0, 1, 0), (0, 0, 0, 1)))
     assert not is_subideal(mi(4, (0, 1, 1, 0)), mi(4, (1, 0, 0, 0)))
-    assert is_subideal(zero_ideal(2), zero_ideal(2))
-    assert not is_subideal(unit_ideal(2), zero_ideal(2))
+    assert is_subideal(mi(2), mi(2))
+    assert not is_subideal(unit_ideal(2), mi(2))
 
 
 def test_x_partition_examples():
@@ -104,7 +104,7 @@ def test_x_partition_examples():
 
 def test_x_partition_errors():
     with pytest.raises(ValueError):
-        x_partition(zero_ideal(2), 0)
+        x_partition(mi(2), 0)
     with pytest.raises(ValueError):
         x_partition(unit_ideal(2), 5)
 
@@ -113,8 +113,8 @@ def test_is_squarefree():
     assert is_squarefree(sq("xy", "yz"))
     assert not is_squarefree(mi(1, (2,)))
     assert not is_squarefree(mi(3, (1, 1, 0), (0, 2, 1)))
-    assert is_squarefree(zero_ideal(4))
-    assert is_squarefree(zero_ideal(0)) and is_squarefree(unit_ideal(0))
+    assert is_squarefree(mi(4))
+    assert is_squarefree(mi(0)) and is_squarefree(unit_ideal(0))
     assert is_squarefree(unit_ideal(3))
 
 
@@ -136,11 +136,11 @@ def mask_antichains(draw):
 @example((7, frozenset({0b11, 0b110, 0b1100, 0b11000, 0b110000, 0b1100000})))
 def test_support_masks_read_back_what_squarefree_ideal_writes(drawn):
     # I keeps its masks and writes its tuples only when asked; J is the
-    # same ideal built from its tuples
+    # same ideal built from its tuples, which derives its masks on reading
     n, masks = drawn
     I = squarefree_ideal(masks, n)
     J = minimalize((mono_from_mask(m, n) for m in masks), n)
-    assert I.masks == masks and J.masks is None
+    assert I.masks == J.masks == masks
     assert betti_table(I) == betti_table(J)
     assert vertex_split(I) == vertex_split(J)
     assert I.is_zero == J.is_zero == (not masks)
@@ -171,7 +171,7 @@ def test_a_square_is_refused_at_the_mask_boundary(gens):
 def test_alexander_dual_examples():
     # dual of (xy, yz) = (y) cap ... = (y, xz)
     assert alexander_dual_ideal(sq("xy", "yz")) == mi(3, (0, 1, 0), (1, 0, 1))
-    assert alexander_dual_ideal(zero_ideal(2)).is_unit
+    assert alexander_dual_ideal(mi(2)).is_unit
     assert alexander_dual_ideal(unit_ideal(2)).is_zero
     with pytest.raises(ValueError):
         alexander_dual_ideal(mi(1, (2,)))

@@ -11,8 +11,7 @@ from vertexsplit.homology import betti_table, koszul_betti
 from vertexsplit.monomials import (MAX_EXPONENT, MonomialIdeal, divides,
                                    intersect, is_squarefree, is_subideal,
                                    minimalize, mono_div, mono_from_mask,
-                                   multiply, unit_ideal, variable, x_partition,
-                                   zero_ideal)
+                                   multiply, unit_ideal, variable, x_partition)
 from vertexsplit.splitting import (InvalidSplitTree, LinearQuotientOrder,
                                    SplitLeaf, SplitNode, betti_from_sets,
                                    betti_recursive, find_linear_quotients,
@@ -42,7 +41,7 @@ def test_vertex_split_two_disjoint_edges_fails():
 
 
 def test_vertex_split_degenerate_cases():
-    assert vertex_split(zero_ideal(2)) == SplitLeaf(None)
+    assert vertex_split(mi(2)) == SplitLeaf(None)
     assert vertex_split(unit_ideal(2)) == SplitLeaf((0, 0))
     assert vertex_split(mi(2, (1, 2))) == SplitLeaf((1, 2))
 
@@ -87,7 +86,7 @@ def test_vertex_split_returns_the_exponent_tuple_certificate():
     # ideals with a square, and ideals whose exponent sets have gaps, which
     # it ranks first
     rng = Random(31)
-    ideals = [zero_ideal(n) for n in range(4)]
+    ideals = [mi(n) for n in range(4)]
     ideals += [unit_ideal(n) for n in range(4)]
     for n in range(1, 6):
         ideals += all_squarefree_ideals(n)
@@ -444,7 +443,7 @@ def test_replay_matches_the_spelled_out_reference():
             assert len(order.generators) == len(want)
             for node, node_ideal in reference_nodes(variant, n):
                 # the node ideal split on x; both parts of a zero node are zero
-                parts = ((zero_ideal(n), zero_ideal(n)) if node_ideal.is_zero
+                parts = ((mi(n), mi(n)) if node_ideal.is_zero
                          else x_partition(node_ideal, node.var))
                 assert node_parts(node, n) == parts
     # every rejection the corruptions can provoke was seen; the collision
