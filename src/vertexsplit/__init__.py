@@ -37,8 +37,9 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the LRU memo tables (homology, Betti tables, split and
-    decomposition certificates); see `cache_info`."""
+    """Empty the LRU memo tables (homology, Betti tables, edge-ideal
+    linearity verdicts, split and decomposition certificates); see
+    `cache_info`."""
     splitting.clear_caches()
     decomposition.clear_caches()
     homology.clear_caches()
@@ -46,14 +47,16 @@ def clear_caches() -> None:
 
 def cache_info() -> dict:
     """The `functools` `CacheInfo` (hits, misses, bound, size) of each memo
-    table: `homology`, `tables`, `split` and `decomposition`.
+    table: `homology`, `tables`, `linear`, `split` and `decomposition`.
 
     `homology` is keyed by support-compressed facet masks; edge ideals
     reach it only at the rare vertex sets where the Hochster recursion
     falls back to the kernel.  `tables` are keyed by the labelled
     generators and the field, so each relabeling of an ideal is a miss of
-    its own."""
+    its own.  `linear` holds the `has_linear_resolution` verdicts of edge
+    ideals, keyed by their edge masks and the field."""
     return {"homology": _kernel_py._dims_of_key.cache_info(),
             "tables": homology._table.cache_info(),
+            "linear": homology._edge_linear.cache_info(),
             "split": splitting._split.cache_info(),
             "decomposition": decomposition._decompose.cache_info()}

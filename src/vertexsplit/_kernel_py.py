@@ -20,7 +20,7 @@ facet is a point and has zero reduced homology.  Any other core's
 boundary matrices are built sparse from its face masks and ranked, and
 its result is padded with zeros to the length the input would have had.
 The reduction runs only on a cache miss.  The LRU memo of `MEMO_SIZE`
-entries, the bound of all four package memos, keys by the sorted tuple
+entries, the bound of all five package memos, keys by the sorted tuple
 of support-compressed facet masks (`monomials.compress`); a core that
 lost a vertex gets its own key.
 """
@@ -312,14 +312,18 @@ def koszul_table(exponents, p: int) -> list[tuple[int, tuple[int, ...], int]]:
     x^b / x^t in the ideal; it is the union of the simplexes on
     {i : b_i > g_i} over the generators g dividing x^b.  The lattice is
     built by joining each generator into the joins found so far, and each
-    strand's facets come from one antichain pass.
+    strand's facets come from one antichain pass.  The generators must be
+    minimal: then at b = g only g divides x^g, its complex is {empty set},
+    and its strand (deg g, (1,), 1) is written with no homology call, so
+    the generators are left out of the lattice walk.
     """
     gens = [tuple(map(int, g)) for g in exponents]
     lattice: set[tuple[int, ...]] = set()
     for g in gens:
         lattice |= {tuple(map(max, b, g)) for b in lattice}
         lattice.add(g)
-    strands = []
+    strands = [(sum(g), (1,), 1) for g in gens]
+    lattice.difference_update(gens)
     for b in lattice:
         masks = []
         for g in gens:

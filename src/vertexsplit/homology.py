@@ -16,7 +16,9 @@ splitting (Adamaszek, "Splittings of independence complexes and the
 powers of cycles", 2012) gives the homology of each W from two smaller W
 by its Mayer-Vietoris sequence, with no matrix, whenever the two share no
 nonzero degree (`_independence_table`).  Only a W at which every vertex
-collides builds facets and calls the kernel.
+collides builds facets and calls the kernel.  Whether an edge ideal has a
+linear resolution is answered by the same recursion, stopped at the first
+W with homology off the linear strand (`_edge_linear`).
 
 Cover ideals read the same table through Hochster's formula in its
 Alexander-dual form (Eagon-Reiner; Miller-Sturmfels, ch. 1): the dual of
@@ -148,15 +150,8 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
         raise ValueError("the zero ideal has an empty resolution; no table")
     if I.is_unit:
         raise ValueError("the unit ideal has no Stanley-Reisner complex")
-    supports = support_masks(I)
-    union = 0
-    for g in supports:
-        union |= g
     # refuse before taking the minimal primes, which can themselves be many
-    check_hochster_size(union.bit_count())
-    # the k vertices of the union renumbered 0..k-1, once; W keeps its size
-    supports = compress(supports, union)
-    union = (1 << union.bit_count()) - 1
+    supports, union = _renumbered(support_masks(I))
     if all(s.bit_count() == 2 for s in supports):
         table, shapes = _independence_table(supports, _neighbours(supports),
                                             field.char)
@@ -176,6 +171,18 @@ def hochster_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
     # the empty W (j = 0) adds nothing
     return _sum_strands((j, (dims + (0,) * j)[:j][::-1], c)
                         for j, dims, c in restrictions)
+
+
+def _renumbered(supports) -> tuple[list[int], int]:
+    """The supports with the k vertices of their union renumbered 0..k-1,
+    once, so each W keeps its size, and that union, 2^k - 1.  Refuses a
+    union over the size limit first."""
+    union = 0
+    for g in supports:
+        union |= g
+    k = union.bit_count()
+    check_hochster_size(k)
+    return compress(supports, union), (1 << k) - 1
 
 
 def _sum_strands(strands) -> BettiTable:
@@ -245,7 +252,13 @@ def _neighbours(edges: list[int]) -> dict[int, int]:
     return near
 
 
-def _independence_table(edges: list[int], near: dict[int, int], p: int):
+class _OffStrand(Exception):
+    """Raised by `_independence_table` at the first W whose homology is
+    nonzero at an index its caller ruled out."""
+
+
+def _independence_table(edges: list[int], near: dict[int, int], p: int,
+                        off: int = 0):
     """Reduced homology of Ind(G[W]) for every vertex set W of the graph
     with these edge masks, on vertices 0..k-1, each on some edge, and
     with the neighbour masks `_neighbours(edges)`.
@@ -268,6 +281,12 @@ def _independence_table(edges: list[int], near: dict[int, int], p: int):
     - only when every v collides are the facets of Ind(G[W]), the
       complements in W of the minimal vertex covers of its edges, built
       and passed to the kernel.
+
+    The first non-empty W with h[W]_t nonzero at a bit t of `off` raises
+    `_OffStrand`.  The test sits where a shape is first stored: every h[W]
+    is zero, a copy of a smaller W's, or a shape already stored, so the
+    first such W is caught there, and with `off` = 0 no subset pays for
+    it.
     """
     shapes: list[tuple[int, ...]] = [(), (1,)]
     ids = {(): 0, (1,): 1}
@@ -281,38 +300,42 @@ def _independence_table(edges: list[int], near: dict[int, int], p: int):
             dims = dims[:-1]
         s = ids.get(dims)
         if s is None:
+            bits = sum(1 << t for t, d in enumerate(dims) if d)
+            if bits & off:
+                raise _OffStrand
             s = ids[dims] = len(shapes)
             shapes.append(dims)
-            support.append(sum(1 << t for t, d in enumerate(dims) if d))
+            support.append(bits)
         return s
 
-    table = [0] * (1 << len(near))
-    table[0] = 1
-    for w in range(1, len(table)):
+    # grown by one entry per W, so an early stop holds only what it visited
+    table = [1]
+    append = table.append
+    for w in range(1, 1 << len(near)):
         rest = w
         while rest:
             v = rest & -rest
             rest ^= v
             nv = near[v]
             if not nv & w:
-                break  # a cone: table[w] stays 0
+                append(0)  # a cone
+                break
             a = table[w & ~(nv | v)]
             b = table[w ^ v]
             if not a:
                 # a zero link adds nothing to the deletion
-                table[w] = b
+                append(b)
                 break
             if not support[a] & support[b]:
                 s = joined.get((a, b))
                 if s is None:
                     s = joined[a, b] = intern(map(sum, zip_longest(
                         (0,) + shapes[a], shapes[b], fillvalue=0)))
-                table[w] = s
+                append(s)
                 break
         else:
             covers = minimal_transversals(e for e in edges if e & w == e)
-            table[w] = intern(kernel.homology_dims(
-                [w & ~t for t in covers], p))
+            append(intern(kernel.homology_dims([w & ~t for t in covers], p)))
     return table, shapes
 
 
@@ -324,8 +347,10 @@ def koszul_betti(I: MonomialIdeal, field: FieldChoice = QQ) -> BettiTable:
 
 
 def clear_caches() -> None:
-    """Empty the oracle's memos: the Betti tables and the kernel's homology."""
+    """Empty the oracle's memos: the Betti tables, the edge-ideal linearity
+    verdicts and the kernel's homology."""
     _table.cache_clear()
+    _edge_linear.cache_clear()
     kernel.clear_caches()
 
 
@@ -361,7 +386,10 @@ def _table(n: int, key: frozenset | tuple, field: FieldChoice) -> BettiTable:
 
 
 def has_linear_resolution(I: MonomialIdeal, field: FieldChoice = QQ) -> bool:
-    """True iff I is generated in one degree d and beta_{i,j} = 0 off j = i+d."""
+    """True iff I is generated in one degree d and beta_{i,j} = 0 off j = i+d.
+
+    An edge ideal, square-free with every generator of degree two, takes
+    the verdict of `_edge_linear`; every other ideal reads its table."""
     if I.is_zero:
         raise ValueError("linear resolution is undefined for the zero ideal")
     masks = I.masks
@@ -370,8 +398,32 @@ def has_linear_resolution(I: MonomialIdeal, field: FieldChoice = QQ) -> bool:
     if len(degrees) > 1:
         return False
     d = degrees.pop()
+    if masks is not None and d == 2:
+        return _edge_linear(masks, field)
     table = betti_table(I, field)
     return all(j == i + d for (i, j) in table.entries)
+
+
+@lru_cache(maxsize=kernel.MEMO_SIZE)
+def _edge_linear(masks: frozenset, field: FieldChoice) -> bool:
+    """Whether the edge ideal with these edge masks has a linear resolution.
+
+    By Hochster's formula a W of size j with homology at index t adds to
+    beta_{j-t-1,j}, and every term is non-negative, so the resolution is
+    linear (j = i + 2) iff no non-empty W has homology at any t other than
+    1: one such W proves "no" (the restriction lemma of Eisenbud, Green,
+    Hulek and Popescu, "Restricting linear syzygies", 2005).  The
+    independence recursion stops at the first; a "yes" visits every W.
+    The verdict is memoized apart from the tables (LRU, `kernel.MEMO_SIZE`),
+    because `_table` cannot be asked without computing, and a graph's edge
+    ideal and the dual facet ideal of its dual independence complex are
+    the same ideal."""
+    edges, _ = _renumbered(masks)
+    try:
+        _independence_table(edges, _neighbours(edges), field.char, ~0b10)
+    except _OffStrand:
+        return False
+    return True
 
 
 def is_cohen_macaulay(delta: SimplicialComplex,

@@ -3,6 +3,7 @@ from itertools import combinations
 from math import isqrt
 from operator import or_
 from random import Random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -520,6 +521,44 @@ def test_has_linear_resolution_examples():
     assert not has_linear_resolution(mi(3, (0, 1, 0), (1, 0, 1)))
     with pytest.raises(ValueError):
         has_linear_resolution(mi(2))
+
+
+def test_edge_linearity_stops_early_and_agrees_with_the_full_table():
+    # every edge set of K6; a labelled graph on fewer vertices has the edge
+    # masks of one of them, and neither verdict reads the number of
+    # variables.  Each edge set is new to the verdict memo, so every call
+    # runs the early-exit recursion.
+    clear_caches()
+    pairs = [1 << u | 1 << v for u, v in combinations(range(6), 2)]
+    wrong = []
+    for chosen in range(1, 1 << len(pairs)):
+        I = squarefree_ideal(
+            [e for k, e in enumerate(pairs) if chosen >> k & 1], 6)
+        linear = all(j == i + 2 for i, j in hochster_betti(I).entries)
+        if has_linear_resolution(I) != linear:
+            wrong.append(I)
+    assert wrong == []
+    assert cache_info()["linear"].misses == (1 << len(pairs)) - 1
+
+
+def test_a_nonlinear_edge_ideal_at_the_size_limit_stops_at_its_witness():
+    # an induced 2K2 on vertices 0-3, whose independence complex is a
+    # 4-cycle with homology in degree 1, and a path through the rest: the
+    # 2K2 is the 15th vertex set visited, so the full table's 2^24 entries
+    # are never built
+    edges = [(0, 1), (2, 3)] + [(v, v + 1) for v in range(3, 23)]
+    I = edge_ideal(graph(24, edges))
+    clear_caches()
+    tracemalloc.start()
+    try:
+        assert not has_linear_resolution(I)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # one more vertex is refused before any subset is visited
+    with pytest.raises(ValueError, match="the limit is 24 vertices"):
+        has_linear_resolution(edge_ideal(graph(25, edges + [(23, 24)])))
 
 
 def test_is_cohen_macaulay_examples():

@@ -86,25 +86,31 @@ def test_kernel_caches_clear():
     vertexsplit.vertex_split(I)
     vertexsplit.betti_table(I)
     vertexsplit.vertex_decomposable(vertexsplit.complex_of_ideal(I))
+    # an edge ideal's linearity verdict has a memo of its own
+    path = sq("xy", "yz")
+    assert vertexsplit.has_linear_resolution(path)
     info = vertexsplit.cache_info()
-    assert sorted(info) == ["decomposition", "homology", "split", "tables"]
+    assert sorted(info) == ["decomposition", "homology", "linear", "split",
+                            "tables"]
     assert all(c.currsize and c.maxsize == kernel.MEMO_SIZE
                for c in info.values())
     # the kernel's reset empties the homology memo only
     kernel.clear_caches()
     sizes = {name: c.currsize for name, c in vertexsplit.cache_info().items()}
     assert sizes["homology"] == 0
-    assert all(sizes[name] for name in ("tables", "split", "decomposition"))
-    # the oracle's reset empties its memo and the kernel's
+    assert all(sizes[name]
+               for name in ("tables", "linear", "split", "decomposition"))
+    # the oracle's reset empties its memos and the kernel's
     vertexsplit.betti_table(other)
     homology.clear_caches()
     sizes = {name: c.currsize for name, c in vertexsplit.cache_info().items()}
-    assert sizes["homology"] == sizes["tables"] == 0
+    assert sizes["homology"] == sizes["tables"] == sizes["linear"] == 0
     assert sizes["split"] and sizes["decomposition"]
-    # the package-level reset empties all four
+    # the package-level reset empties all five
     vertexsplit.betti_table(other)
+    vertexsplit.has_linear_resolution(path)
     info = vertexsplit.cache_info()
-    assert info["tables"].currsize and info["homology"].currsize
+    assert all(info[name].currsize for name in ("tables", "homology", "linear"))
     vertexsplit.clear_caches()
     assert all(c.currsize == 0 for c in vertexsplit.cache_info().values())
     # an ideal with a square is searched in the same memo, so a second
@@ -363,6 +369,26 @@ def test_koszul_table_matches_the_spelled_out_reference(I, p):
     gens = I.sorted_gens()
     summed = homology._sum_strands(kernel.koszul_table(gens, p))
     assert summed.entries == reference_koszul_table(gens, p)
+
+
+def test_koszul_generator_strands_take_no_kernel_call(monkeypatch):
+    # at a minimal generator g only g divides x^g, so its upper Koszul
+    # complex is {empty set} and its strand needs no homology
+    calls = []
+    homology_dims = _kernel_py.homology_dims
+
+    def counted(facets, p):
+        calls.append(facets)
+        return homology_dims(facets, p)
+
+    monkeypatch.setattr(_kernel_py, "homology_dims", counted)
+    assert kernel.koszul_table([(2, 1, 0)], 0) == [(3, (1,), 1)]
+    assert calls == []
+    # x^2 and y: their lcm x^2 y is the one lattice element left to walk
+    strands = kernel.koszul_table([(0, 1, 0), (2, 0, 0)], 0)
+    assert len(calls) == 1
+    assert homology._sum_strands(strands).entries == \
+        {(0, 1): 1, (0, 2): 1, (1, 3): 1}
 
 
 def test_bench_kernel_runs_from_a_checkout(tmp_path):
