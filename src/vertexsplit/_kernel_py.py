@@ -1,12 +1,10 @@
 """The kernel: exact matrix ranks, reduced simplicial homology and the
 graded strands of a monomial ideal from its upper Koszul complexes.
 
-`vertexsplit.kernel` re-exports the entry points defined here.  Boundary
-ranks come from one sparse elimination on unit pivots, exact over QQ and
-over every GF(p) (`sparse_rank`); over QQ, rows left with no unit pivot
-are ranked by fraction-free Bareiss elimination (`rank_int`).  `rank_int`
-and `rank_mod` are the dense ranks of list-of-lists matrices, over QQ and
-GF(p), so every rank is exact.
+`vertexsplit.kernel` re-exports the entry points defined here.  Every
+rank comes from one sparse, fraction-free elimination, exact over QQ and
+over every GF(p) (`sparse_rank`); `rank_int` and `rank_mod` pass it
+list-of-lists matrices, over QQ and GF(p).
 
 Before any matrix is built, `homology_dims` shrinks a complex to its
 strong-collapse core (Barmak-Minian, "Strong homotopy types, nerves and
@@ -28,6 +26,7 @@ lost a vertex gets its own key.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .monomials import _max_antichain, compress
 
@@ -39,70 +38,15 @@ def clear_caches() -> None:
 
 
 def rank_int(rows) -> int:
-    """Rank over the rationals via Bareiss fraction-free elimination."""
-    a = [list(map(int, row)) for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    prev = 1
-    while r < m and r < n:
-        pi = pj = -1
-        for i in range(r, m):
-            row = a[i]
-            for j in range(r, n):
-                if row[j]:
-                    pi, pj = i, j
-                    break
-            if pi >= 0:
-                break
-        if pi < 0:
-            break
-        if pi != r:
-            a[pi], a[r] = a[r], a[pi]
-        if pj != r:
-            for row in a:
-                row[r], row[pj] = row[pj], row[r]
-        piv = a[r][r]
-        rowr = a[r]
-        for i in range(r + 1, m):
-            rowi = a[i]
-            lead = rowi[r]
-            # Sylvester identity: the division by the previous pivot is exact
-            for j in range(r + 1, n):
-                rowi[j] = (rowi[j] * piv - lead * rowr[j]) // prev
-            rowi[r] = 0
-        prev = piv
-        r += 1
-    return r
+    """Rank over the rationals of an integer matrix given as a list of rows."""
+    return sparse_rank([{j: int(x) for j, x in enumerate(row) if x}
+                        for row in rows], 0)[0]
 
 
 def rank_mod(rows, p: int) -> int:
-    """Rank over the prime field GF(p)."""
-    a = [[int(x) % p for x in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    for c in range(n):
-        pivot = -1
-        for i in range(r, m):
-            if a[i][c]:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        a[pivot], a[r] = a[r], a[pivot]
-        inv = pow(a[r][c], p - 2, p)
-        rowr = a[r]
-        for i in range(r + 1, m):
-            rowi = a[i]
-            if rowi[c]:
-                factor = rowi[c] * inv % p
-                for j in range(c, n):
-                    rowi[j] = (rowi[j] - factor * rowr[j]) % p
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank over GF(p) of an integer matrix given as a list of rows."""
+    return sparse_rank([{j: int(x) for j, x in enumerate(row) if x}
+                        for row in rows], p)[0]
 
 
 def _canonical_key(facets, p: int) -> tuple:
@@ -163,27 +107,22 @@ def sparse_rank(rows, p: int) -> tuple[int, set]:
     `{column: entry}` dicts, and the set of pivot columns found.
 
     Each row is reduced at its lowest column (its lead) by the pivot rows
-    found so far, and becomes a pivot row itself when its lead entry is a
-    unit (Dumas, Heckenbach, Saunders and Welker, "Computing simplicial
-    homology based on efficient Smith normal form algorithms", 2003).
-    Over GF(p) the entries are reduced mod p first, so every nonzero entry
-    is a unit.  Over the integers the units are 1 and -1, and a row whose
-    lead is any other integer is set aside.  Adding an integer multiple of
-    a row whose lead is 1 or -1 to another row is a unimodular integer row
-    operation, and it commutes with reduction mod p, which is a ring map.
-    So one elimination is exact over QQ and over every GF(p), with no
-    fractions.
+    found so far, and becomes a pivot row itself when its lead is a column
+    with no pivot yet (Dumas, Heckenbach, Saunders and Welker, "Computing
+    simplicial homology based on efficient Smith normal form algorithms",
+    2003).  Over GF(p) the entries are reduced mod p first and a new pivot
+    row is scaled to lead 1.  Over QQ a new pivot row is divided by the gcd
+    of its entries and negated if its lead is negative, so its lead d can
+    be any positive integer.  A row with entry c at the lead of a pivot
+    becomes d*row - c*pivot; over GF(p), d is 1.  Every step is an
+    invertible row operation over the field, so the rank is exact, and no
+    fraction appears.
 
     Pivot rows have distinct leads and no entry left of their lead, so
-    they are independent of each other and of every row that is zero in
-    each pivot column.  The rows set aside (over QQ only) are reduced to
-    that form, lowest pivot column first, since a pivot row adds entries
-    only right of its lead, and passed densely to `rank_int`.  The rank is
-    the number of pivots plus that dense rank.  The columns returned are
-    the leads of the pivot rows; the dense remainder adds none.
+    they are independent, and every other row reduces to zero.  The
+    columns returned are the leads of the pivot rows.
     """
     pivots = {}
-    rest = []
     for row in rows:
         row = {k: v % p for k, v in row.items() if v % p} if p else dict(row)
         while row:
@@ -191,26 +130,25 @@ def sparse_rank(rows, p: int) -> tuple[int, set]:
             pivot = pivots.get(lead)
             if pivot is None:
                 break
-            _subtract(row, row[lead], pivot, p)
+            c = row[lead]
+            d = pivot[lead]
+            if d != 1:
+                for k in row:
+                    row[k] *= d
+            _subtract(row, c, pivot, p)
         if not row:
             continue
         c = row[lead]
         if p:
             inverse = pow(c, p - 2, p)
             pivots[lead] = {k: v * inverse % p for k, v in row.items()}
-        elif c == 1 or c == -1:
-            pivots[lead] = row if c == 1 else {k: -v for k, v in row.items()}
         else:
-            rest.append(row)
-    rank = len(pivots)
-    if rest:
-        for row in rest:
-            while live := [k for k in row if k in pivots]:
-                column = min(live)
-                _subtract(row, row[column], pivots[column], 0)
-        columns = sorted({k for row in rest for k in row})
-        rank += rank_int([[row.get(k, 0) for k in columns] for row in rest])
-    return rank, set(pivots)
+            g = 1 if c == 1 or c == -1 else gcd(*row.values())
+            if c < 0:
+                g = -g
+            pivots[lead] = row if g == 1 else {k: v // g
+                                                for k, v in row.items()}
+    return len(pivots), set(pivots)
 
 
 def _subtract(row: dict, c: int, pivot: dict, p: int) -> None:
@@ -238,12 +176,12 @@ def _homology_from_masks(facets: list[int], p: int) -> tuple[int, ...]:
     top down.  A face that is a pivot column of the level above is left
     out of its own level's rows ("clearing": Chen and Kerber, "Persistent
     homology computation with a twist", 2011).  Its pivot row R is a
-    combination of boundaries, so the boundary of R is zero; R has a unit
-    at that face and entries only at higher faces of the same level, so
-    the face's boundary is a combination of theirs.  Taken from the
-    highest cleared face down, each cleared row lies in the span of the
-    rows kept, so the rank is unchanged; those rows would only have
-    reduced to zero.
+    combination of boundaries over the field, so the boundary of R is
+    zero; R has a nonzero entry at that face, which is invertible in the
+    field, and entries only at higher faces of the same level, so the
+    face's boundary is a combination of theirs.  Taken from the highest
+    cleared face down, each cleared row lies in the span of the rows kept,
+    so the rank is unchanged; those rows would only have reduced to zero.
     """
     top = max(f.bit_count() for f in facets)
     by_size = [[] for _ in range(top + 1)]

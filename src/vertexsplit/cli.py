@@ -69,7 +69,9 @@ def _check_oracle_size(kind: str, obj) -> None:
     the union of the supports: for a graph's edge and cover ideals, the
     vertices that lie on an edge; for a complex's Stanley-Reisner ideal and
     its dual facet ideal, the vertices missing from some facet.  A parsed
-    ideal is in hand, and the oracle checks its supports itself."""
+    ideal is in hand, and the oracle checks its supports itself.  `betti`
+    checks a complex in every mode, because each builds its ideal by
+    Berge's method."""
     if kind == "graph":
         check_hochster_size(len({v for e in obj.edges for v in e}))
     elif kind == "complex":
@@ -86,7 +88,7 @@ def _load_ideal_for_betti(args):
     kind, obj, names = _load_input({
         "ideal": None if args.graph else args.ideal,
         "complex": args.complex, "graph": args.graph})
-    if args.mode == "oracle" or args.check:
+    if kind == "complex" or args.mode == "oracle" or args.check:
         # refuse before building the ideals, which can be slow
         _check_oracle_size(kind, obj)
     if kind == "graph":

@@ -58,10 +58,6 @@ class SimplicialComplex:
             raise ValueError(f"ground sets are limited to {MAX_VERTICES} vertices")
 
     @property
-    def dim(self) -> int:
-        return max(f.bit_count() for f in self.facets) - 1
-
-    @property
     def vertex_mask(self) -> int:
         """Mask of the actual vertices (ground-set elements in some face)."""
         mask = 0

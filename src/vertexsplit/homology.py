@@ -5,7 +5,7 @@ Betti numbers: the subset-restriction formula for square-free ideals
 (through the Stanley-Reisner complex) and the upper-Koszul route for
 arbitrary monomial ideals.  Everything downstream (linear resolutions,
 Cohen-Macaulayness, regularity, projective dimension) reads off these
-tables.  All ranks are exact: sparse elimination on unit pivots over
+tables.  All ranks are exact: one sparse, fraction-free elimination over
 the rationals and over prime fields (`kernel`).
 
 Edge ideals take a graph route through the subset-restriction formula:

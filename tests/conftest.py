@@ -1,7 +1,7 @@
 """Shared helpers: compact ideal/complex builders and independent
-brute-force oracles (Fraction-based rank, monomial membership enumeration,
-and a Tor-via-Koszul-complex Betti oracle) used to pin expected values
-without trusting the library's own computational paths.
+brute-force oracles (dense ranks over QQ and GF(p), monomial membership
+enumeration, and a Tor-via-Koszul-complex Betti oracle) used to pin
+expected values without trusting the library's own computational paths.
 """
 
 from __future__ import annotations
@@ -51,6 +51,27 @@ def fraction_rank(rows) -> int:
                 f = a[i][c] / a[r][c]
                 for j in range(c, n):
                     a[i][j] -= f * a[r][j]
+        r += 1
+    return r
+
+
+def mod_rank(rows, p: int) -> int:
+    """Reference rank over GF(p), by dense elimination mod p."""
+    a = [[int(x) % p for x in row] for row in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inverse = pow(a[r][c], p - 2, p)
+        for i in range(r + 1, m):
+            if a[i][c]:
+                f = a[i][c] * inverse % p
+                for j in range(c, n):
+                    a[i][j] = (a[i][j] - f * a[r][j]) % p
         r += 1
     return r
 

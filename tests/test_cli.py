@@ -237,15 +237,16 @@ def test_classify_refuses_a_complex_too_large_for_the_oracle_up_front(
 
 def test_betti_refuses_a_large_complex_before_building_its_ideal(
         tmp_path, monkeypatch, capsys):
-    # Berge's method ran for minutes on this complex's minimal non-faces
-    # before the oracle's limit refused them
+    # every mode builds I_Δ by Berge's method, which runs for minutes on
+    # this complex's minimal non-faces, so every mode refuses it first
     def unreachable(edges):
         raise AssertionError("minimal transversals taken before the refusal")
 
     for module in (complexes, homology, monomials):
         monkeypatch.setattr(module, "minimal_transversals", unreachable)
     path = _edge_complements(40, tmp_path)
-    for flags in ([], ["--check"], ["--mode", "sets", "--check"]):
+    for flags in ([], ["--check"], ["--mode", "sets", "--check"],
+                  ["--mode", "recursive"], ["--mode", "sets"]):
         err = _refused(["betti", "--complex", path, *flags], capsys)
         assert "2^40" in err
 

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import vertexsplit
-from conftest import fraction_rank, mi, sq
+from conftest import fraction_rank, mi, mod_rank, sq
 from vertexsplit import homology, kernel
 from vertexsplit import _kernel_py
 from vertexsplit.monomials import is_squarefree
@@ -49,12 +50,15 @@ def test_rank_against_reference():
         m, n = rng.randint(1, 8), rng.randint(1, 8)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         assert kernel.rank_int(rows) == fraction_rank(rows)
+        for p in (2, 3, 5):
+            assert kernel.rank_mod(rows, p) == mod_rank(rows, p)
 
 
 def test_rank_mod_small_primes():
     assert kernel.rank_mod([[2, 0], [0, 2]], 2) == 0
     assert kernel.rank_mod([[1, 1], [1, 1]], 3) == 1
     assert kernel.rank_mod([[1, 2], [3, 4]], 5) == 2
+    assert kernel.rank_mod([], 7) == 0
 
 
 def test_rank_int_handles_empty_and_degenerate():
@@ -64,9 +68,10 @@ def test_rank_int_handles_empty_and_degenerate():
 
 
 def test_rank_int_is_exact_beyond_64_bits():
-    # Bareiss products of 2^40 entries exceed 64 bits
+    # cross-multiplying rows whose leads are 2^40 and 2^40 + 1 gives
+    # products beyond 64 bits, and the first two rows sum to the third
     big = 1 << 40
-    rows = [[big, 0], [0, big]]
+    rows = [[big, 3, 0], [big + 1, 0, big], [2 * big + 1, 3, big]]
     assert kernel.rank_int(rows) == 2
 
 
@@ -221,28 +226,29 @@ def test_projective_plane_is_its_own_core():
     assert _kernel_py.homology_dims(RP2_MASKS, 0) == (0, 0, 0, 0)
 
 
-def test_projective_plane_over_qq_reaches_the_dense_remainder(monkeypatch):
+def test_projective_plane_over_qq_takes_no_dense_rank(monkeypatch):
     # over the integers RP2's top boundary has a row that reduces to a lead
-    # of 2, which only the dense remainder can rank; mod 2 it vanishes
+    # of 2; the sparse elimination pivots on it, with no dense rank
     calls = []
-    dense = _kernel_py.rank_int
+    for name in ("rank_int", "rank_mod"):
+        dense = getattr(_kernel_py, name)
 
-    def counted(rows):
-        calls.append(rows)
-        return dense(rows)
+        def counted(*args, dense=dense):
+            calls.append(args)
+            return dense(*args)
 
-    monkeypatch.setattr(_kernel_py, "rank_int", counted)
+        monkeypatch.setattr(_kernel_py, name, counted)
     _kernel_py.clear_caches()
     assert _kernel_py.homology_dims(RP2_MASKS, 0) == (0, 0, 0, 0)
-    assert len(calls) >= 1
     assert _kernel_py.homology_dims(RP2_MASKS, 2) == (0, 0, 1, 1)
+    assert calls == []
 
 
 def reference_homology(facets, p):
     """Reduced homology spelled out: every face of the facets, levels in
     increasing mask order, dense boundary matrices with the sign (-1)^k
     for dropping the k-th lowest vertex, ranked by plain fraction
-    elimination over QQ and by `rank_mod` over GF(p)."""
+    elimination over QQ and by dense elimination mod p over GF(p)."""
     faces = {g for f in facets for g in range(f + 1) if g & f == g}
     top = max(f.bit_count() for f in facets)
     levels = [sorted(g for g in faces if g.bit_count() == t)
@@ -259,7 +265,7 @@ def reference_homology(facets, p):
             for k, v in enumerate(vertices):
                 row[col[f & ~(1 << v)]] = (-1) ** k
             rows.append(row)
-        return fraction_rank(rows) if p == 0 else kernel.rank_mod(rows, p)
+        return fraction_rank(rows) if p == 0 else mod_rank(rows, p)
 
     return tuple(len(levels[t]) - rank(t) - rank(t + 1)
                  for t in range(top + 1))
@@ -280,12 +286,41 @@ def test_homology_matches_dense_reference_ranks(facets, p):
     st.lists(st.integers(-3, 3), min_size=n, max_size=n),
     min_size=1, max_size=8)))
 def test_sparse_rank_matches_dense_ranks(rows):
-    # entries other than 0 and ±1 leave rows with non-unit leads over QQ,
-    # so the dense remainder is exercised too
+    # entries other than 0 and ±1 leave rows with non-unit leads over QQ
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     assert _kernel_py.sparse_rank(sparse, 0)[0] == fraction_rank(rows)
     for p in (2, 3):
-        assert _kernel_py.sparse_rank(sparse, p)[0] == kernel.rank_mod(rows, p)
+        assert _kernel_py.sparse_rank(sparse, p)[0] == mod_rank(rows, p)
+
+
+entries = st.one_of(st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40))
+
+
+@st.composite
+def non_unit_lead_matrices(draw):
+    """Integer matrices whose drawn rows lead with an entry of absolute
+    value 2 to 2^40, plus a few integer combinations of those rows."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(0, n - 1))
+        lead = draw(st.integers(2, 1 << 40)) * draw(st.sampled_from([1, -1]))
+        rows.append([0] * start + [lead]
+                    + [draw(entries) for _ in range(n - start - 1)])
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        x, y = draw(entries), draw(entries)
+        rows.append([x * u + y * v for u, v in zip(a, b)])
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(non_unit_lead_matrices())
+def test_sparse_rank_pivots_on_non_unit_leads(rows):
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    rank, columns = _kernel_py.sparse_rank(sparse, 0)
+    assert rank == len(columns) == fraction_rank(rows)
+    assert kernel.rank_int(rows) == rank
 
 
 def test_homology_beyond_64_vertices():
@@ -389,6 +424,21 @@ def test_koszul_generator_strands_take_no_kernel_call(monkeypatch):
     assert len(calls) == 1
     assert homology._sum_strands(strands).entries == \
         {(0, 1): 1, (0, 2): 1, (1, 3): 1}
+
+
+def test_bench_kernel_checksums_at_its_default_scale():
+    # the script checks its checksums only at its default scale; these are
+    # its workloads at that scale, loaded from the script itself
+    script = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernel.py"
+    spec = importlib.util.spec_from_file_location("bench_kernel", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sums = {}
+    for factory in module.PINNED_SUMS:
+        _, run = factory(module.DEFAULT_COUNT)
+        sums[factory.__name__] = module.measure(run)[1]
+    assert sums == {"workload_homology": 565, "workload_koszul": 5236,
+                    "workload_hochster": 11304}
 
 
 def test_bench_kernel_runs_from_a_checkout(tmp_path):
